@@ -13,6 +13,7 @@ exactly as written; no free reduction or normal form is ever applied.
 from __future__ import annotations
 
 import dataclasses
+from typing import TypeVar
 
 __all__ = [
     "ArtinWord",
@@ -43,16 +44,63 @@ class StrandMismatch(ValueError):
     """Operands live in braid groups with different strand counts."""
 
 
+_W = TypeVar("_W", bound="_Word")
+
+
 @dataclasses.dataclass(frozen=True)
-class ArtinWord:
-    """A word in the Artin generators of the n-strand braid group."""
+class _Word:
+    """Letters on n strands; the last entry of every letter is its sign."""
 
     n: int
-    letters: tuple[tuple[int, int], ...] = ()
+    letters: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise IndexOutOfRange(f"need at least 2 strands, got {self.n}")
+        self._check_letters()
+
+    def _check_letters(self) -> None:
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def exponent_sum(self) -> int:
+        # A band letter is a conjugate of a single Artin letter, so the
+        # conjugating parts cancel and only the sign counts.
+        return sum(letter[-1] for letter in self.letters)
+
+    def inverse(self: _W) -> _W:
+        return type(self)(
+            self.n,
+            tuple(letter[:-1] + (-letter[-1],) for letter in reversed(self.letters)),
+        )
+
+    def rotated(self: _W, k: int) -> _W:
+        """Cyclic left rotation by k letters; the closure is unchanged."""
+        if not self.letters:
+            return self
+        k %= len(self.letters)
+        return type(self)(self.n, self.letters[k:] + self.letters[:k])
+
+    def __mul__(self: _W, other: _W) -> _W:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if other.n != self.n:
+            raise StrandMismatch(
+                f"cannot concatenate words on {self.n} and {other.n} strands"
+            )
+        return type(self)(self.n, self.letters + other.letters)
+
+
+@dataclasses.dataclass(frozen=True)
+class ArtinWord(_Word):
+    """A word in the Artin generators of the n-strand braid group.
+
+    Letters are (index, sign) pairs.
+    """
+
+    def _check_letters(self) -> None:
         object.__setattr__(self, "letters", tuple((i, s) for i, s in self.letters))
         for i, s in self.letters:
             if not 1 <= i <= self.n - 1:
@@ -61,31 +109,6 @@ class ArtinWord:
                 )
             if s not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {s}")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def exponent_sum(self) -> int:
-        return sum(s for _, s in self.letters)
-
-    def inverse(self) -> ArtinWord:
-        return ArtinWord(self.n, tuple((i, -s) for i, s in reversed(self.letters)))
-
-    def rotated(self, k: int) -> ArtinWord:
-        """Cyclic left rotation by k letters; the closure is unchanged."""
-        if not self.letters:
-            return self
-        k %= len(self.letters)
-        return ArtinWord(self.n, self.letters[k:] + self.letters[:k])
-
-    def __mul__(self, other: ArtinWord) -> ArtinWord:
-        if not isinstance(other, ArtinWord):
-            return NotImplemented
-        if other.n != self.n:
-            raise StrandMismatch(
-                f"cannot concatenate words on {self.n} and {other.n} strands"
-            )
-        return ArtinWord(self.n, self.letters + other.letters)
 
     def __pow__(self, k: int) -> ArtinWord:
         base = self if k >= 0 else self.inverse()
@@ -96,15 +119,13 @@ class ArtinWord:
 
 
 @dataclasses.dataclass(frozen=True)
-class BandWord:
-    """A word in the band generators of the n-strand braid group."""
+class BandWord(_Word):
+    """A word in the band generators of the n-strand braid group.
 
-    n: int
-    letters: tuple[tuple[int, int, int], ...] = ()
+    Letters are (i, j, sign) triples with i < j.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise IndexOutOfRange(f"need at least 2 strands, got {self.n}")
+    def _check_letters(self) -> None:
         object.__setattr__(
             self, "letters", tuple((i, j, s) for i, j, s in self.letters)
         )
@@ -118,35 +139,8 @@ class BandWord:
             if s not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {s}")
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def is_positive(self) -> bool:
         return all(s == 1 for _, _, s in self.letters)
-
-    def exponent_sum(self) -> int:
-        # Each band letter is a conjugate of a single Artin letter, so the
-        # conjugating parts cancel and only the middle sign counts.
-        return sum(s for _, _, s in self.letters)
-
-    def inverse(self) -> BandWord:
-        return BandWord(self.n, tuple((i, j, -s) for i, j, s in reversed(self.letters)))
-
-    def rotated(self, k: int) -> BandWord:
-        """Cyclic left rotation by k letters; the closure is unchanged."""
-        if not self.letters:
-            return self
-        k %= len(self.letters)
-        return BandWord(self.n, self.letters[k:] + self.letters[:k])
-
-    def __mul__(self, other: BandWord) -> BandWord:
-        if not isinstance(other, BandWord):
-            return NotImplemented
-        if other.n != self.n:
-            raise StrandMismatch(
-                f"cannot concatenate words on {self.n} and {other.n} strands"
-            )
-        return BandWord(self.n, self.letters + other.letters)
 
     def to_artin(self) -> ArtinWord:
         """Expand every band letter into its Artin conjugate."""

@@ -117,7 +117,11 @@ class BurauMatrix:
         )
 
     def det(self) -> LaurentPoly:
-        """Cofactor expansion; the matrices here never exceed 5x5."""
+        """Cofactor expansion, O(size!) ring operations.
+
+        Nothing bounds the size: seven strands give 6x6 matrices, and the
+        factorial cost makes ten or more strands impractically slow.
+        """
         return _det(self.entries)
 
 
@@ -136,62 +140,43 @@ def _det(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentPoly:
     return total
 
 
-def _adjugate_inverse(m: BurauMatrix) -> BurauMatrix:
-    # Entries of the inverse are adj(m)/det(m); for a braid matrix every
-    # division is exact over the Laurent ring.
-    d = m.det()
-    size = m.size
-    if size == 1:
-        return BurauMatrix(m.n, ((LaurentPoly.term(1).div_exact(d),),))
-    rows = []
-    for r in range(size):
-        row = []
-        for c in range(size):
-            minor = tuple(
-                tuple(entry for j, entry in enumerate(mrow) if j != r)
-                for i, mrow in enumerate(m.entries)
-                if i != c
-            )
-            cof = _det(minor)
-            if (r + c) % 2:
-                cof = -cof
-            row.append(cof.div_exact(d))
-        rows.append(tuple(row))
-    return BurauMatrix(m.n, tuple(rows))
+#: Column i of sigma_i^sign as (above, diagonal, below) exponent -> coefficient
+#: maps; every other column is the identity's.
+_GENERATOR_COLUMN = {
+    1: ({2: 1}, {2: -1}, {0: 1}),
+    -1: ({0: 1}, {-2: -1}, {-2: 1}),
+}
+
+
+def _generator_matrix(i: int, n: int, sign: int) -> BurauMatrix:
+    grid = [list(row) for row in BurauMatrix.identity(n).entries]
+    col = i - 1
+    for r, coeffs in zip((col - 1, col, col + 1), _GENERATOR_COLUMN[sign]):
+        if 0 <= r < n - 1:
+            grid[r][col] = LaurentPoly(coeffs)
+    return BurauMatrix(n, tuple(tuple(row) for row in grid))
 
 
 @lru_cache(maxsize=None)
 def burau_generator(i: int, n: int, sign: int = 1) -> BurauMatrix:
     """The reduced Burau matrix of sigma_i^sign on n strands.
 
-    The positive matrix is the identity outside column i: entry (i, i) is
-    -s^2, flanked by s^2 above and 1 below where those rows exist.  The
-    inverse is computed exactly and checked against the identity before
-    being cached.
+    Both signs are the identity outside column i.  For sigma_i that column
+    holds -s^2 on the diagonal, flanked by s^2 above and 1 below where
+    those rows exist; for sigma_i^-1 it holds -s^-2, flanked by 1 above and
+    s^-2 below.  The two are checked to multiply to the identity before
+    the result is cached.
     """
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"generator index {i} out of range on {n} strands")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if sign == 1:
-        grid = [
-            [LaurentPoly({0: 1}) if r == c else LaurentPoly() for c in range(n - 1)]
-            for r in range(n - 1)
-        ]
-        col = i - 1
-        grid[col][col] = LaurentPoly({2: -1})
-        if col - 1 >= 0:
-            grid[col - 1][col] = LaurentPoly({2: 1})
-        if col + 1 <= n - 2:
-            grid[col + 1][col] = LaurentPoly.term(1)
-        return BurauMatrix(n, tuple(tuple(row) for row in grid))
-    forward = burau_generator(i, n, 1)
-    inverse = _adjugate_inverse(forward)
-    if forward * inverse != BurauMatrix.identity(n):
+    pair = {s: _generator_matrix(i, n, s) for s in (1, -1)}
+    if pair[1] * pair[-1] != BurauMatrix.identity(n):
         raise InternalInconsistency(
             f"inverse of generator {i} on {n} strands failed its identity check"
         )
-    return inverse
+    return pair[sign]
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,7 @@ Coefficients are Python ints throughout, so nothing overflows or rounds.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 
 __all__ = [
@@ -166,21 +167,7 @@ class LaurentPoly:
         return LaurentPoly(quot)
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for e, c in self.items():
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "s" if e == 1 else f"s^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _render(self.items(), "s")
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
@@ -266,29 +253,32 @@ class ZPoly:
 
     def render(self) -> str:
         """Human form in ascending degree, e.g. '1 - z^2 + 2z^3'."""
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for d, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if d == 0:
-                body = str(mag)
-            else:
-                var = "z" if d == 1 else f"z^{d}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _render(enumerate(self._coeffs), "z")
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"ZPoly('{self.render()}')"
+
+
+def _render(terms: Iterable[tuple[int, int]], var: str) -> str:
+    """Join (exponent, coefficient) terms, ascending, as '-2 + s^2'."""
+    parts: list[str] = []
+    for e, c in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            power = var if e == 1 else f"{var}^{e}"
+            body = power if mag == 1 else f"{mag}{power}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
 
 
 #: The polynomial z itself.

@@ -59,6 +59,8 @@ __all__ = [
     "resolve",
     "leaf_conway",
     "conway_via_skein",
+    "tree_to_json",
+    "tree_to_dot",
 ]
 
 

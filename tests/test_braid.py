@@ -122,6 +122,11 @@ def test_concatenation_rejects_strand_mismatch():
         parse_artin("1", 3) * parse_artin("1", 4)
     with pytest.raises(StrandMismatch):
         parse_band("1:2", 3) * parse_band("1:2", 4)
+    # Artin and band words never concatenate, even on the same strands.
+    with pytest.raises(TypeError):
+        parse_artin("1", 3) * parse_band("1:2", 3)
+    with pytest.raises(TypeError):
+        parse_band("1:2", 3) * parse_artin("1", 3)
 
 
 def test_powers():

@@ -49,6 +49,12 @@ def test_interior_generator_column():
         (ZERO, NEG_S2, ZERO),
         (ZERO, ONE, ONE),
     )
+    inv = burau_generator(2, 4, -1)
+    assert inv.entries == (
+        (ONE, ONE, ZERO),
+        (ZERO, LaurentPoly({-2: -1}), ZERO),
+        (ZERO, LaurentPoly({-2: 1}), ONE),
+    )
 
 
 def test_generator_index_validation():
@@ -61,12 +67,28 @@ def test_generator_index_validation():
 
 
 def test_inverses_multiply_to_identity():
-    for n in range(2, 7):
+    for n in range(2, 10):
         for i in range(1, n):
             fwd = burau_generator(i, n)
             inv = burau_generator(i, n, -1)
             assert fwd * inv == BurauMatrix.identity(n)
             assert inv * fwd == BurauMatrix.identity(n)
+
+
+def test_generator_identity_check_catches_a_wrong_inverse(monkeypatch):
+    from braidconway import burau
+
+    broken = dict(burau._GENERATOR_COLUMN)
+    broken[-1] = ({0: 1}, {-2: -1}, {-2: -1})
+    monkeypatch.setattr(burau, "_GENERATOR_COLUMN", broken)
+    burau_generator.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistency):
+            burau_generator(1, 3)
+        with pytest.raises(InternalInconsistency):
+            burau_generator(1, 3, -1)
+    finally:
+        burau_generator.cache_clear()
 
 
 def test_braid_relations():

@@ -152,6 +152,44 @@ def test_scan_deterministic_across_jobs(capsys, tmp_path):
     assert single.read_bytes() == parallel.read_bytes()
 
 
+def test_scan_clamps_jobs_to_its_tasks(capsys, tmp_path, monkeypatch):
+    # The depth-2 partition has nine tasks, so more workers than that
+    # would only be forked to sit idle.
+    from braidconway import cli
+
+    requested = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, forks nothing."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    single = tmp_path / "single.jsonl"
+    wide = tmp_path / "wide.jsonl"
+    assert run(capsys, "scan", "--max-len", "3", "--out", str(single))[0] == 0
+    assert requested == []
+    assert (
+        run(
+            capsys,
+            "scan", "--max-len", "3", "--out", str(wide), "--jobs", "64",
+        )[0]
+        == 0
+    )
+    assert requested == [9]
+    assert single.read_bytes() == wide.read_bytes()
+
+
 def test_scan_validates_flags():
     with pytest.raises(SystemExit) as info:
         main(["scan", "--max-len", "-1"])
