@@ -6,7 +6,8 @@ Four subcommands:
 * ``tree``: resolution tree of a positive three-strand band word.
 * ``scan``: sweep all band words on three strands up to a length, check the
   skein route against the matrix route, and emit one JSON line per word.
-* ``verify``: fixed closures plus seeded randomized suites, pass/fail each.
+* ``verify``: the claims in ``braidconway.claims`` (fixed closures plus seeded
+  randomized suites), pass/fail each.
 
 Exit codes: 0 success, 1 a check failed, 2 unusable input.
 """
@@ -22,37 +23,15 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from itertools import product
 
-from .braid import (
-    ArtinWord,
-    IndexOutOfRange,
-    NotOrdered,
-    ParseError,
-    half_twist,
-    parse_artin,
-    parse_band,
-)
-from .burau import (
-    BurauMatrix,
-    burau_rep,
-    conway_from_matrix,
-    conway_via_burau,
-    full_twist_difference,
-)
-from .polyring import (
-    LaurentPoly,
-    ZPoly,
-    fibonacci_poly,
-    laurent_to_z,
-    quantum_bracket,
-)
+from . import claims
+from .braid import IndexOutOfRange, NotOrdered, ParseError, parse_artin, parse_band
+from .burau import BurauMatrix, burau_rep, conway_from_matrix, conway_via_burau
 from .skein3 import (
     LETTERS,
-    LeafKind,
     Letter,
     Word,
     conway_via_skein,
     format_word,
-    leaf_conway,
     parse_word,
     resolve,
     to_band_word,
@@ -209,143 +188,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _random_artin_word(rng: random.Random, n: int, max_len: int) -> ArtinWord:
-    length = rng.randint(0, max_len)
-    return ArtinWord(
-        n,
-        tuple(
-            (rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)
-        ),
-    )
-
-
-def _check_fixed_closures(rng: random.Random) -> None:
-    cases = [
-        (parse_artin("1", 2), ZPoly((1,))),
-        (parse_artin("1 1 1", 2), ZPoly((1, 0, 1))),
-        (parse_artin("1 1 -1", 2), ZPoly((1,))),
-        (parse_band("1:6 1:6 4:6 3:5 2:4 1:3 2:5", 6), ZPoly((1, 0, -1))),
-        (parse_band("1:6 1:6 2:5 1:3 2:4 3:5 4:6", 6), ZPoly((1, 0, 7))),
-    ]
-    for word, want in cases:
-        got = conway_via_burau(word)
-        assert got == want, f"closure of '{word}' gave {got}, expected {want}"
-
-
-def _check_full_twist_matrix(rng: random.Random) -> None:
-    twist = half_twist(3) * half_twist(3)
-    want = BurauMatrix(
-        3,
-        (
-            (LaurentPoly({6: 1}), LaurentPoly()),
-            (LaurentPoly(), LaurentPoly({6: 1})),
-        ),
-    )
-    got = burau_rep(twist)
-    assert got == want, "full twist matrix is not s^6 times the identity"
-
-
-def _check_band_relation(rng: random.Random) -> None:
-    spellings = ["2:3 1:2", "1:3 2:3", "1:2 1:3"]
-    matrices = [burau_rep(parse_band(text, 3)) for text in spellings]
-    assert matrices[0] == matrices[1] == matrices[2], (
-        "the three spellings of the band relation have different matrices"
-    )
-
-
-def _check_bracket_telescopes(rng: random.Random) -> None:
-    z_in_s = LaurentPoly({-1: 1, 1: -1})
-    for n in range(1, 13):
-        want = LaurentPoly({-n: 1, n: -1})
-        got = quantum_bracket(n) * z_in_s
-        assert got == want, f"bracket failed to telescope at n={n}"
-
-
-def _check_fibonacci_reflection(rng: random.Random) -> None:
-    for n in range(-20, 21):
-        sign = 1 if n % 2 == 0 else -1
-        symmetric = LaurentPoly({-n: 1}) + LaurentPoly({n: sign})
-        got = laurent_to_z(symmetric)
-        want = fibonacci_poly(n + 1) + fibonacci_poly(n - 1)
-        assert got == want, f"reflection identity failed at n={n}"
-
-
-def _check_full_twist_difference(rng: random.Random) -> None:
-    twist = half_twist(3)
-    for _ in range(200):
-        alpha = _random_artin_word(rng, 3, 12)
-        base = conway_via_burau(alpha)
-        e = alpha.exponent_sum()
-        for k in range(1, 5):
-            beta = (twist ** (2 * k)) * alpha
-            got = conway_via_burau(beta) - base
-            want = full_twist_difference(e, k)
-            assert got == want, f"difference law failed at e={e}, k={k}"
-
-
-def _check_balanced_exponent_powers(rng: random.Random) -> None:
-    twist = half_twist(3)
-    for r in range(1, 5):
-        target = -3 * r
-        # At exponent sum -3r the shift is the closed form of the ascending
-        # cycle (G12 G23 G13)^r, which vanishes for even r.
-        want = leaf_conway(LeafKind.triple_power(r))
-        for _ in range(50):
-            alpha = _random_artin_word(rng, 3, 8)
-            pad = target - alpha.exponent_sum()
-            sign = 1 if pad >= 0 else -1
-            alpha = alpha * ArtinWord(3, tuple((2, sign) for _ in range(abs(pad))))
-            beta = (twist ** (2 * r)) * alpha
-            diff = conway_via_burau(beta) - conway_via_burau(alpha)
-            assert diff == want, f"power shift wrong at r={r}"
-
-
-def _check_ascending_cycles(rng: random.Random) -> None:
-    for k in range(1, 7):
-        word = (Letter.G12, Letter.G23, Letter.G13) * k
-        closed = leaf_conway(LeafKind.triple_power(k))
-        assert conway_via_skein(word) == closed, f"skein value off at k={k}"
-        assert conway_via_burau(to_band_word(word)) == closed, (
-            f"matrix value off at k={k}"
-        )
-        if k % 2 == 0:
-            assert closed == ZPoly(), f"even cycle k={k} should vanish"
-
-
-def _check_short_words_agree(rng: random.Random) -> None:
-    for length in range(5):
-        for word in product(LETTERS, repeat=length):
-            via_skein = conway_via_skein(word)
-            via_matrix = conway_via_burau(to_band_word(word))
-            assert via_skein == via_matrix, (
-                f"routes disagree at '{format_word(word)}'"
-            )
-
-
-_CLAIMS = [
-    ("fixed closures have their known polynomials", _check_fixed_closures),
-    ("full twist matrix is s^6 times the identity", _check_full_twist_matrix),
-    ("band relation has one matrix image", _check_band_relation),
-    ("quantum bracket telescopes", _check_bracket_telescopes),
-    ("fibonacci reflection identity", _check_fibonacci_reflection),
-    ("full-twist difference law on random words", _check_full_twist_difference),
-    ("full-twist powers at balanced exponent sums", _check_balanced_exponent_powers),
-    ("ascending-cycle closures match the matrix route", _check_ascending_cycles),
-    ("skein and matrix routes agree on short words", _check_short_words_agree),
-]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
-    print(f"seed: {seed}")
+    print(f"seed: {args.seed}")
     first_failure = None
-    for name, check in _CLAIMS:
+    for name, check in claims.CLAIMS:
         try:
-            check(random.Random(seed))
-        except AssertionError as exc:
+            check(random.Random(args.seed))
+        except claims.ClaimFailed as exc:
             print(f"FAIL  {name}: {exc}")
             if first_failure is None:
                 first_failure = name
@@ -404,8 +253,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="run the built-in fixed and randomized checks"
     )
+    # argparse runs type=int on a string default too, so a malformed
+    # environment value is a usage error (exit 2) like a malformed flag.
     verify.add_argument(
-        "--seed", type=int, help=f"randomization seed (default {DEFAULT_SEED}, "
+        "--seed", type=int, default=os.environ.get(SEED_ENV_VAR, DEFAULT_SEED),
+        help=f"randomization seed (default {DEFAULT_SEED}, "
         f"or the {SEED_ENV_VAR} environment variable)"
     )
     verify.set_defaults(func=_cmd_verify)
@@ -423,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--jobs must be >= 1")
     try:
         return args.func(args)
-    except (ParseError, IndexOutOfRange, NotOrdered) as exc:
+    except (ParseError, IndexOutOfRange, NotOrdered, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -129,14 +129,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> LaurentPoly:
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        out = LaurentPoly.term(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def div_exact(self, den: LaurentPoly) -> LaurentPoly:
         """Exact quotient q with q * den == self.
 

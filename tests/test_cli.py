@@ -1,9 +1,15 @@
 """The command line surface: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import braidconway
+from braidconway import claims
 from braidconway.cli import main
 
 
@@ -190,6 +196,14 @@ def test_scan_clamps_jobs_to_its_tasks(capsys, tmp_path, monkeypatch):
     assert single.read_bytes() == wide.read_bytes()
 
 
+def test_scan_out_into_missing_directory_exits_2(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "scan", "--max-len", "2", "--out", str(tmp_path / "missing" / "x.jsonl")
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_scan_validates_flags():
     with pytest.raises(SystemExit) as info:
         main(["scan", "--max-len", "-1"])
@@ -221,3 +235,45 @@ def test_verify_seed_env_var(capsys, monkeypatch):
     code, out, err = run(capsys, "verify")
     assert code == 0
     assert out.startswith("seed: 97\n")
+
+
+def test_verify_rejects_a_malformed_seed_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("BRAIDCONWAY_SEED", "abc")
+    with pytest.raises(SystemExit) as info:
+        main(["verify"])
+    assert info.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_verify_reports_a_failing_claim(capsys, monkeypatch):
+    def refuse(rng):
+        raise claims.ClaimFailed("refused on purpose")
+
+    patched = list(claims.CLAIMS)
+    name = patched[2][0]
+    patched[2] = (name, refuse)
+    monkeypatch.setattr(claims, "CLAIMS", patched)
+    code, out, err = run(capsys, "verify")
+    assert code == 1
+    assert f"FAIL  {name}: refused on purpose\n" in out
+    assert out.count("PASS  ") == 8
+    assert "all claims pass" not in out
+    assert err == f"first failing claim: {name}\n"
+
+
+def test_verify_still_checks_under_optimize():
+    # python -O strips assert statements; the claims must not rely on them.
+    script = (
+        "import sys\n"
+        "from braidconway import claims, cli\n"
+        "claims.conway_via_burau = lambda word: 5\n"
+        "sys.exit(cli.main(['verify']))\n"
+    )
+    src = str(Path(braidconway.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL  fixed closures have their known polynomials" in proc.stdout
