@@ -5,108 +5,29 @@ over the integer Laurent ring, and a normalized determinant gives the
 Conway polynomial of the closure.  For positive band words on three
 strands an independent skein resolution-tree engine computes the same
 polynomial, and the command line tool cross-checks the two routes.
+
+The package root exports the documented API below; everything else
+imports from its submodule (``braid``, ``burau``, ``polyring``,
+``skein3``, ``claims``, ``cli``).
 """
 
-from .braid import (
-    ArtinWord,
-    BandWord,
-    IndexOutOfRange,
-    NotOrdered,
-    ParseError,
-    StrandMismatch,
-    half_twist,
-    parse_artin,
-    parse_band,
-)
-from .burau import (
-    BurauMatrix,
-    InternalInconsistency,
-    burau_generator,
-    burau_rep,
-    conway_from_matrix,
-    conway_via_burau,
-    full_twist_difference,
-)
-from .polyring import (
-    LaurentPoly,
-    NotDivisible,
-    NotInImage,
-    Z,
-    Z_IN_S,
-    ZPoly,
-    fibonacci_poly,
-    laurent_to_z,
-    quantum_bracket,
-    zpoly_to_laurent,
-)
-from .skein3 import (
-    LETTERS,
-    LeafKind,
-    Letter,
-    NoSquare,
-    NotDescending,
-    Node,
-    Unresolvable,
-    classify_leaf,
-    conway_via_skein,
-    find_square,
-    format_word,
-    leaf_conway,
-    parse_word,
-    resolve,
-    rewrite_descending,
-    split_square,
-    to_band_word,
-    tree_to_dot,
-    tree_to_json,
-)
+from .braid import parse_band
+from .burau import conway_via_burau, full_twist_difference
+from .polyring import LaurentPoly, NotInImage, ZPoly, laurent_to_z
+from .skein3 import conway_via_skein, parse_word, resolve, tree_to_dot
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArtinWord",
-    "BandWord",
-    "BurauMatrix",
-    "IndexOutOfRange",
-    "InternalInconsistency",
-    "LETTERS",
     "LaurentPoly",
-    "LeafKind",
-    "Letter",
-    "NoSquare",
-    "NotDescending",
-    "Node",
-    "NotDivisible",
     "NotInImage",
-    "NotOrdered",
-    "ParseError",
-    "StrandMismatch",
-    "Unresolvable",
-    "Z",
-    "Z_IN_S",
     "ZPoly",
-    "burau_generator",
-    "burau_rep",
-    "classify_leaf",
-    "conway_from_matrix",
     "conway_via_burau",
     "conway_via_skein",
-    "fibonacci_poly",
-    "find_square",
-    "format_word",
     "full_twist_difference",
-    "half_twist",
     "laurent_to_z",
-    "leaf_conway",
-    "parse_artin",
     "parse_band",
     "parse_word",
-    "quantum_bracket",
     "resolve",
-    "rewrite_descending",
-    "split_square",
-    "to_band_word",
     "tree_to_dot",
-    "tree_to_json",
-    "zpoly_to_laurent",
 ]

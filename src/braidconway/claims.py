@@ -115,7 +115,7 @@ def check_balanced_exponent_powers(rng: random.Random) -> None:
         target = -3 * r
         # At exponent sum -3r the shift is the closed form of the ascending
         # cycle (G12 G23 G13)^r, which vanishes for even r.
-        want = leaf_conway(LeafKind.triple_power(r))
+        want = leaf_conway(LeafKind.TRIPLE_POWER, r)
         for _ in range(50):
             alpha = _random_artin_word(rng, 3, 8)
             pad = target - alpha.exponent_sum()
@@ -131,7 +131,7 @@ def check_balanced_exponent_powers(rng: random.Random) -> None:
 def check_ascending_cycles(rng: random.Random) -> None:
     for k in range(1, 7):
         word = (Letter.G12, Letter.G23, Letter.G13) * k
-        closed = leaf_conway(LeafKind.triple_power(k))
+        closed = leaf_conway(LeafKind.TRIPLE_POWER, k)
         if conway_via_skein(word) != closed:
             raise ClaimFailed(f"skein value off at k={k}")
         if conway_via_burau(to_band_word(word)) != closed:

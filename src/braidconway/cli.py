@@ -22,6 +22,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from itertools import product
+from typing import TextIO
 
 from . import claims
 from .braid import IndexOutOfRange, NotOrdered, ParseError, parse_artin, parse_band
@@ -143,8 +144,16 @@ def _scan_task(task: tuple[Word, int]) -> tuple[dict[int, list[str]], set[tuple[
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    max_len = args.max_len
-    jobs = args.jobs
+    # Open --out before the sweep, so an unwritable path fails at once; a
+    # scan that stops with exit 1 leaves the file empty.
+    if args.out is None:
+        return _scan(args.max_len, args.jobs, sys.stdout, sys.stderr)
+    with open(args.out, "w", newline="\n") as handle:
+        return _scan(args.max_len, args.jobs, handle, sys.stdout)
+
+
+def _scan(max_len: int, jobs: int, sink: TextIO, report: TextIO) -> int:
+    """Write the records to sink and the summary to report."""
     # Partition the trie at depth 2 when running in parallel: nine subtree
     # tasks plus the four short words handled inline.  Merging buffers in
     # prefix order keeps the byte stream identical for every job count.
@@ -153,7 +162,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         if split:
             parts = [_scan_subtree((), 1)]
             tasks = [((a, b), max_len) for a, b in product(LETTERS, repeat=2)]
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            workers = min(jobs, len(tasks), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 parts.extend(pool.map(_scan_task, tasks))
         else:
             parts = [_scan_subtree((), max_len)]
@@ -171,14 +181,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         distinct |= seen
     max_degree = max(len(coeffs) - 1 for coeffs in distinct)
 
-    body = "".join(line + "\n" for line in lines)
-    if args.out is not None:
-        with open(args.out, "w", newline="\n") as handle:
-            handle.write(body)
-        report = sys.stdout
-    else:
-        sys.stdout.write(body)
-        report = sys.stderr
+    sink.write("".join(line + "\n" for line in lines))
     print(f"words: {len(lines)}", file=report)
     print(f"distinct conway polynomials: {len(distinct)}", file=report)
     print(f"max degree: {max_degree}", file=report)

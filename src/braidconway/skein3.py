@@ -29,6 +29,10 @@ Each leaf has a known Conway polynomial, and the value of the whole word
 is the sum over leaves of z^(number of weight-z edges on the path) times
 the leaf value.  Every step is deterministic, leftmost-first, so the same
 word always produces the same tree.
+
+Values are computed in one place: a memoized recursion from words to
+values, which ``conway_via_skein`` returns and every tree ``Node`` reads.
+``resolve`` builds the tree's structure only.
 """
 
 from __future__ import annotations
@@ -128,50 +132,28 @@ def to_band_word(w: Word) -> BandWord:
     return BandWord(3, tuple(_BAND_TRIPLE[letter] for letter in w))
 
 
-@dataclasses.dataclass(frozen=True)
-class LeafKind:
-    """What kind of leaf a word is; k is the power for triple cycles."""
-
-    kind: str
-    k: int = 0
+class LeafKind(enum.Enum):
+    """What kind of leaf a word is; a triple power of length L has k = L // 3."""
 
     EMPTY = "empty"
     SINGLE_LETTER = "single-letter"
     TWO_DISTINCT = "two-distinct"
     TRIPLE_POWER = "triple-power"
 
-    @classmethod
-    def empty(cls) -> "LeafKind":
-        return cls(cls.EMPTY)
-
-    @classmethod
-    def single_letter(cls) -> "LeafKind":
-        return cls(cls.SINGLE_LETTER)
-
-    @classmethod
-    def two_distinct(cls) -> "LeafKind":
-        return cls(cls.TWO_DISTINCT)
-
-    @classmethod
-    def triple_power(cls, k: int) -> "LeafKind":
-        if k < 1:
-            raise ValueError(f"triple power needs k >= 1, got {k}")
-        return cls(cls.TRIPLE_POWER, k)
-
 
 def classify_leaf(w: Word) -> LeafKind | None:
     """The leaf kind of w, or None when w still resolves further."""
     length = len(w)
     if length == 0:
-        return LeafKind.empty()
+        return LeafKind.EMPTY
     if length == 1:
-        return LeafKind.single_letter()
+        return LeafKind.SINGLE_LETTER
     if length == 2:
-        return LeafKind.two_distinct() if w[0] != w[1] else None
+        return LeafKind.TWO_DISTINCT if w[0] != w[1] else None
     if all(w[(t + 1) % length] is w[t].successor for t in range(length)):
         # A full ascending cycle: the successor has order 3, so the length
         # is a multiple of 3 and w is a rotation of (G12 G23 G13)^(L/3).
-        return LeafKind.triple_power(length // 3)
+        return LeafKind.TRIPLE_POWER
     return None
 
 
@@ -263,7 +245,8 @@ class Node:
 
     Leaves carry their LeafKind; inner nodes carry two children, the left
     reached by the weight-1 edge (square erased) and the right by the
-    weight-z edge (square reduced to one letter).
+    weight-z edge (square reduced to one letter).  A node holds no value:
+    ``value`` looks its word up in the memo behind ``conway_via_skein``.
     """
 
     word: Word
@@ -272,11 +255,8 @@ class Node:
     right: "Node | None" = None
 
     def value(self) -> ZPoly:
-        """The skein value accumulated over this subtree."""
-        if self.leaf is not None:
-            return leaf_conway(self.leaf)
-        assert self.left is not None and self.right is not None
-        return self.left.value() + Z * self.right.value()
+        """The skein value of this node's word, read from the memo."""
+        return _skein_value(self.word)
 
     def leaf_count(self) -> int:
         if self.leaf is not None:
@@ -286,7 +266,7 @@ class Node:
 
 
 def resolve(w: Word) -> Node:
-    """The full resolution tree of a word.
+    """The full resolution tree of a word: its structure, not its values.
 
     Recursion depth is bounded by the word length: each child is strictly
     shorter than its parent.
@@ -298,21 +278,22 @@ def resolve(w: Word) -> Node:
     return Node(word=w, left=resolve(erased), right=resolve(reduced))
 
 
-def leaf_conway(leaf: LeafKind) -> ZPoly:
-    """The Conway polynomial of a leaf's closure.
+def leaf_conway(leaf: LeafKind, k: int = 0) -> ZPoly:
+    """The Conway polynomial of a leaf's closure; k is a triple power's power.
 
     Empty and single-letter closures have split components, value 0; two
     distinct letters close to the unknot, value 1.  The ascending cycle
     (G12 G23 G13)^k closes to a link whose value vanishes for even k and
     for odd k equals 2z * sum_{i<k} F_{6i+4-3k}.
     """
-    if leaf.kind in (LeafKind.EMPTY, LeafKind.SINGLE_LETTER):
+    if leaf in (LeafKind.EMPTY, LeafKind.SINGLE_LETTER):
         return ZPoly()
-    if leaf.kind == LeafKind.TWO_DISTINCT:
+    if leaf is LeafKind.TWO_DISTINCT:
         return ZPoly((1,))
-    if leaf.kind != LeafKind.TRIPLE_POWER:
-        raise ValueError(f"unknown leaf kind {leaf.kind!r}")
-    k = leaf.k
+    if leaf is not LeafKind.TRIPLE_POWER:
+        raise ValueError(f"unknown leaf kind {leaf!r}")
+    if k < 1:
+        raise ValueError(f"triple power needs k >= 1, got {k}")
     if k % 2 == 0:
         return ZPoly()
     total = ZPoly()
@@ -335,10 +316,10 @@ def tree_to_json(root: Node) -> dict:
         if edge is not None:
             out["edge"] = edge
         if node.leaf is not None:
-            out["leaf"] = node.leaf.kind
-            if node.leaf.kind == LeafKind.TRIPLE_POWER:
-                out["k"] = node.leaf.k
-            out["value"] = list(leaf_conway(node.leaf).coeffs)
+            out["leaf"] = node.leaf.value
+            if node.leaf is LeafKind.TRIPLE_POWER:
+                out["k"] = len(node.word) // 3
+            out["value"] = list(node.value().coeffs)
         else:
             assert node.left is not None and node.right is not None
             out["children"] = [
@@ -371,10 +352,9 @@ def tree_to_dot(root: Node) -> str:
         name = f"n{counter}"
         counter += 1
         if node.leaf is not None:
-            value = leaf_conway(node.leaf).render()
             lines.append(
                 f'  {name} [shape=box label="{label(node.word)}\\n'
-                f'{node.leaf.kind}: {value}"];'
+                f'{node.leaf.value}: {node.value().render()}"];'
             )
         else:
             lines.append(f'  {name} [label="{label(node.word)}"];')
@@ -391,9 +371,10 @@ def tree_to_dot(root: Node) -> str:
 
 @lru_cache(maxsize=None)
 def _skein_value(w: Word) -> ZPoly:
+    # The only place where child values are combined.
     leaf = classify_leaf(w)
     if leaf is not None:
-        return leaf_conway(leaf)
+        return leaf_conway(leaf, len(w) // 3)
     erased, reduced = _resolution_step(w)
     return _skein_value(erased) + Z * _skein_value(reduced)
 
@@ -402,6 +383,7 @@ def conway_via_skein(w: Word) -> ZPoly:
     """The Conway polynomial of the closure of w, by resolution.
 
     Subword values are cached, so sweeping many related words stays
-    cheap; the result always equals resolve(w).value().
+    cheap.  ``resolve(w).value()`` reads the same cache, so the two agree
+    by construction.
     """
     return _skein_value(w)

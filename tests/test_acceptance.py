@@ -9,6 +9,7 @@ Criteria with a stated time budget fail when they run over it.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -78,6 +79,10 @@ def test_criterion_5_exhaustive_scan(tmp_path):
                 ["scan", "--max-len", "9", "--out", str(out_path), "--jobs", "1"]
             )
         assert code == 0
+        # The scan bytes are part of the output contract.
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "209ff31b22f638220a2279668e56616d640be3d345ca5fd09f3d2c2247998c2f"
+        )
         lines = out_path.read_text().splitlines()
         assert len(lines) == 29524
         records = [json.loads(line) for line in lines]

@@ -1,5 +1,6 @@
 """The command line surface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -107,6 +108,19 @@ def test_tree_dot_output(capsys):
     assert '[label="1"]' in out and '[label="z"]' in out
 
 
+def test_tree_output_bytes_are_pinned(capsys):
+    # This word's tree has all four leaf kinds; its JSON and DOT bytes are
+    # part of the output contract.
+    pinned = {
+        "json": "73337db962d9d9638fd4886d0de102f911e0c7d3108834d5e534811022fb4008",
+        "dot": "53a33dcecbbd82f26e2b643fcef7791841e08759d5f2d7edaa34e38756a5bb27",
+    }
+    for fmt, digest in pinned.items():
+        code, out, err = run(capsys, "tree", "1 1 13 1 2", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def test_tree_rejects_foreign_letters(capsys):
     code, out, err = run(capsys, "tree", "1 3")
     assert code == 2
@@ -160,7 +174,7 @@ def test_scan_deterministic_across_jobs(capsys, tmp_path):
 
 def test_scan_clamps_jobs_to_its_tasks(capsys, tmp_path, monkeypatch):
     # The depth-2 partition has nine tasks, so more workers than that
-    # would only be forked to sit idle.
+    # would only be forked to sit idle; so would more workers than CPUs.
     from braidconway import cli
 
     requested = []
@@ -181,6 +195,7 @@ def test_scan_clamps_jobs_to_its_tasks(capsys, tmp_path, monkeypatch):
             return map(fn, iterable)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     single = tmp_path / "single.jsonl"
     wide = tmp_path / "wide.jsonl"
     assert run(capsys, "scan", "--max-len", "3", "--out", str(single))[0] == 0
@@ -195,8 +210,20 @@ def test_scan_clamps_jobs_to_its_tasks(capsys, tmp_path, monkeypatch):
     assert requested == [9]
     assert single.read_bytes() == wide.read_bytes()
 
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert run(capsys, "scan", "--max-len", "3", "--out", str(wide), "--jobs", "64")[0] == 0
+    assert requested == [9, 4]
+    assert single.read_bytes() == wide.read_bytes()
 
-def test_scan_out_into_missing_directory_exits_2(capsys, tmp_path):
+
+def test_scan_out_into_missing_directory_exits_2(capsys, tmp_path, monkeypatch):
+    # The path is opened before the sweep, so the sweep never starts.
+    from braidconway import cli
+
+    def no_sweep(*args):
+        raise AssertionError("scan swept before opening --out")
+
+    monkeypatch.setattr(cli, "_scan_subtree", no_sweep)
     code, out, err = run(
         capsys, "scan", "--max-len", "2", "--out", str(tmp_path / "missing" / "x.jsonl")
     )

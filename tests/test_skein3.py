@@ -65,16 +65,16 @@ def test_to_band_word():
 # --- leaves ------------------------------------------------------------------
 
 def test_classify_short_leaves():
-    assert classify_leaf(w("")) == LeafKind.empty()
-    assert classify_leaf(w("2")) == LeafKind.single_letter()
-    assert classify_leaf(w("2 1")) == LeafKind.two_distinct()
+    assert classify_leaf(w("")) == LeafKind.EMPTY
+    assert classify_leaf(w("2")) == LeafKind.SINGLE_LETTER
+    assert classify_leaf(w("2 1")) == LeafKind.TWO_DISTINCT
     assert classify_leaf(w("1 1")) is None
 
 
 def test_classify_ascending_cycles():
-    assert classify_leaf(w("1 2 13")) == LeafKind.triple_power(1)
-    assert classify_leaf(w("13 1 2")) == LeafKind.triple_power(1)
-    assert classify_leaf(w("2 13 1 2 13 1")) == LeafKind.triple_power(2)
+    assert classify_leaf(w("1 2 13")) == LeafKind.TRIPLE_POWER
+    assert classify_leaf(w("13 1 2")) == LeafKind.TRIPLE_POWER
+    assert classify_leaf(w("2 13 1 2 13 1")) == LeafKind.TRIPLE_POWER
 
 
 def test_classify_rejects_non_leaves():
@@ -84,25 +84,25 @@ def test_classify_rejects_non_leaves():
 
 
 def test_leaf_values():
-    assert leaf_conway(LeafKind.empty()) == ZPoly()
-    assert leaf_conway(LeafKind.single_letter()) == ZPoly()
-    assert leaf_conway(LeafKind.two_distinct()) == ZPoly((1,))
-    assert leaf_conway(LeafKind.triple_power(1)) == 2 * Z
-    assert leaf_conway(LeafKind.triple_power(2)) == ZPoly()
-    assert leaf_conway(LeafKind.triple_power(4)) == ZPoly()
+    assert leaf_conway(LeafKind.EMPTY) == ZPoly()
+    assert leaf_conway(LeafKind.SINGLE_LETTER) == ZPoly()
+    assert leaf_conway(LeafKind.TWO_DISTINCT) == ZPoly((1,))
+    assert leaf_conway(LeafKind.TRIPLE_POWER, 1) == 2 * Z
+    assert leaf_conway(LeafKind.TRIPLE_POWER, 2) == ZPoly()
+    assert leaf_conway(LeafKind.TRIPLE_POWER, 4) == ZPoly()
 
 
 def test_odd_cycle_leaf_matches_matrix_route():
     for k in (1, 3, 5):
         cycle = w(" ".join(["1 2 13"] * k))
-        assert leaf_conway(LeafKind.triple_power(k)) == conway_via_burau(
+        assert leaf_conway(LeafKind.TRIPLE_POWER, k) == conway_via_burau(
             to_band_word(cycle)
         )
 
 
 def test_triple_power_needs_positive_k():
     with pytest.raises(ValueError):
-        LeafKind.triple_power(0)
+        leaf_conway(LeafKind.TRIPLE_POWER, 0)
 
 
 # --- squares -----------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_trefoil_tree_shape():
     tree = resolve(w("1 2 1 2"))
     assert tree.leaf is None
     assert tree.left.word == w("1 13")
-    assert tree.left.leaf == LeafKind.two_distinct()
+    assert tree.left.leaf == LeafKind.TWO_DISTINCT
     assert tree.right.word == w("1 13 2")
     assert tree.right.left.word == w("13")
     assert tree.right.right.word == w("13 2")
@@ -215,29 +215,28 @@ def test_trefoil_tree_shape():
 
 def test_resolve_leaf_is_single_node():
     tree = resolve(w("1 2 13"))
-    assert tree.leaf == LeafKind.triple_power(1)
+    assert tree.leaf == LeafKind.TRIPLE_POWER
     assert tree.left is None and tree.right is None
     assert tree.value() == 2 * Z
 
 
 def test_tree_accounting():
     # Children shorten by exactly two (erased) and one (reduced) letters,
-    # and the cached evaluator agrees with the materialized tree.
+    # and the cached evaluator agrees with the sum over the tree's leaves.
     rng = random.Random(216091)
 
     def check(node):
         if node.leaf is not None:
             assert classify_leaf(node.word) == node.leaf
-            return
+            return leaf_conway(node.leaf, len(node.word) // 3)
         assert len(node.left.word) == len(node.word) - 2
         assert len(node.right.word) == len(node.word) - 1
-        check(node.left)
-        check(node.right)
+        return check(node.left) + Z * check(node.right)
 
     for _ in range(40):
         word = _random_word(rng, 9)
         tree = resolve(word)
-        check(tree)
+        assert check(tree) == conway_via_skein(word)
         assert tree.value() == conway_via_skein(word)
 
 
