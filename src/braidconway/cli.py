@@ -9,7 +9,8 @@ Four subcommands:
 * ``verify``: the claims in ``braidconway.claims`` (fixed closures plus seeded
   randomized suites), pass/fail each.
 
-Exit codes: 0 success, 1 a check failed, 2 unusable input.
+Exit codes: 0 success, 1 a check failed or the reader closed stdout early,
+2 unusable input.
 """
 
 from __future__ import annotations
@@ -277,7 +278,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so a reader that left early is seen inside this try.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point stdout at devnull, so the flush
+        # at interpreter exit cannot fail again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ParseError, IndexOutOfRange, NotOrdered, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

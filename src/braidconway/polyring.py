@@ -121,42 +121,59 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
+        _add_product(out, self._coeffs, other._coeffs)
         return LaurentPoly(out)
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def dot(xs: Iterable[LaurentPoly], ys: Iterable[LaurentPoly]) -> LaurentPoly:
+        """sum(x * y for x, y in zip(xs, ys)), summed into one coefficient map.
+
+        Builds one polynomial for the whole sum: the entry of a matrix
+        product costs no intermediate products or partial sums.
+        """
+        out: dict[int, int] = {}
+        for x, y in zip(xs, ys):
+            if x._coeffs and y._coeffs:
+                _add_product(out, x._coeffs, y._coeffs)
+        return LaurentPoly(out)
+
     def div_exact(self, den: LaurentPoly) -> LaurentPoly:
         """Exact quotient q with q * den == self.
 
-        Long division from the lowest exponent.  Each step cancels the
-        remainder's lowest term, so its minimum exponent strictly rises
-        while its maximum never does; the spread shrinks to a point or
-        drops below den's spread, and the latter raises NotDivisible.
+        Long division from the lowest exponent over a dense remainder, in
+        O(len(q) * len(den)) steps.  Step i cancels the remainder's entry at
+        self.min_exp + i with one quotient term; a leading coefficient that
+        den's lowest one does not divide, or a remainder left once the
+        quotient's span is used up, raises NotDivisible.
         """
         if not den:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return LaurentPoly()
+        lo = self.min_exp
         den_lo = den.min_exp
-        den_spread = den.max_exp - den_lo
-        den_lead = den[den_lo]
+        rem = [0] * (self.max_exp - lo + 1)
+        for e, c in self._coeffs.items():
+            rem[e - lo] = c
+        den_lead = den._coeffs[den_lo]
+        den_rest = [(e - den_lo, c) for e, c in den._coeffs.items() if e != den_lo]
+        steps = len(rem) - (den.max_exp - den_lo)
         quot: dict[int, int] = {}
-        rem = self
-        while rem:
-            lo = rem.min_exp
-            if rem.max_exp - lo < den_spread:
-                raise NotDivisible(f"({self}) is not divisible by ({den})")
-            c, r = divmod(rem[lo], den_lead)
+        for i in range(steps):
+            if not rem[i]:
+                continue
+            c, r = divmod(rem[i], den_lead)
             if r:
-                raise NotDivisible(f"({self}) is not divisible by ({den})")
-            e = lo - den_lo
-            quot[e] = c
-            rem = rem - den * LaurentPoly({e: c})
-        return LaurentPoly(quot)
+                break
+            quot[lo - den_lo + i] = c
+            for offset, d in den_rest:
+                rem[i + offset] -= c * d
+        else:
+            if steps > 0 and not any(rem[steps:]):
+                return LaurentPoly(quot)
+        raise NotDivisible(f"({self}) is not divisible by ({den})")
 
     def __str__(self) -> str:
         return _render(self.items(), "s")
@@ -252,6 +269,14 @@ class ZPoly:
 
     def __repr__(self) -> str:
         return f"ZPoly('{self.render()}')"
+
+
+def _add_product(out: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
+    """Add the product of coefficient maps a and b into out."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
 
 
 def _render(terms: Iterable[tuple[int, int]], var: str) -> str:

@@ -1,8 +1,11 @@
 """Matrices of braid words and the Conway normalization."""
 
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from braidconway.braid import ArtinWord, half_twist, parse_artin, parse_band
 from braidconway.burau import (
@@ -104,9 +107,57 @@ def test_braid_relations():
                 assert a * b == b * a
 
 
+def _leibniz_det(rows):
+    """Reference determinant: the signed sum over all permutations."""
+    size = len(rows)
+    total = ZERO
+    for perm in permutations(range(size)):
+        inversions = sum(
+            perm[a] > perm[b] for a in range(size) for b in range(a + 1, size)
+        )
+        term = LaurentPoly.term(-1 if inversions % 2 else 1)
+        for r, c in enumerate(perm):
+            term = term * rows[r][c]
+        total = total + term
+    return total
+
+
+_entries = st.one_of(
+    st.just(ZERO),
+    st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=3).map(
+        LaurentPoly
+    ),
+)
+
+
+@st.composite
+def _laurent_matrices(draw):
+    """k x k Laurent matrices, k <= 5, some with a zero leading pivot (so
+    elimination must swap rows) and some singular with a zero column."""
+    size = draw(st.integers(1, 5))
+    rows = [[draw(_entries) for _ in range(size)] for _ in range(size)]
+    if draw(st.booleans()):
+        rows[0][0] = ZERO
+    if draw(st.booleans()):
+        col = draw(st.integers(0, size - 1))
+        for row in rows:
+            row[col] = ZERO
+    return rows
+
+
+@given(_laurent_matrices())
+# A zero pivot at the second step: rows 1 and 2 must be swapped.
+@example([[ONE, ONE, ZERO], [ONE, ONE, ONE], [ZERO, ONE, ONE]])
+# A zero leading pivot with nothing below it in its column.
+@example([[ZERO, S2], [ZERO, ONE]])
+def test_determinant_matches_leibniz_formula(rows):
+    m = BurauMatrix(len(rows) + 1, tuple(tuple(row) for row in rows))
+    assert m.det() == _leibniz_det(rows)
+
+
 def test_determinant_tracks_exponent_sum():
     rng = random.Random(9021)
-    for n in (2, 3, 4, 5):
+    for n in range(2, 10):
         for _ in range(8):
             w = _random_word(rng, n, 10)
             e = w.exponent_sum()

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,95 @@ def test_conway_requires_exactly_one_alphabet():
     with pytest.raises(SystemExit) as info:
         main(["conway", "-n", "3"])
     assert info.value.code == 2
+
+
+WIDE_10 = (
+    "9:10 6:9 -5:9 9:10 2:9 -8:9 -5:6 1:10 -8:10 -2:7 9:10 8:9 -7:9 8:9 "
+    "-7:9 -8:10 -9:10 -9:10 6:8 2:10 -9:10 -5:10 -7:10 7:10 9:10 9:10 -6:7 "
+    "2:9 2:10 1:3 -8:9 -9:10 -2:9 -4:6 -1:9 4:9 2:8 -5:9 3:9 6:9"
+)
+WIDE_16 = (
+    "-12:15 -6:11 6:15 5:12 -14:15 4:5 -12:14 -15:16 3:12 1:3 -14:16 -7:15 "
+    "-11:12 -5:13 -13:14 4:15 -11:15 8:11 -15:16 8:15 7:15 -7:15 1:11 -7:10 "
+    "-14:15 -2:14 8:13 15:16 -14:15 5:16 10:16 -3:11 4:14 12:16 11:13 -11:14 "
+    "8:9 -10:13 7:10 6:16"
+)
+
+
+def _components(n, band_word):
+    """Cycles of the permutation of the strands that band_word induces."""
+    perm = list(range(n + 1))
+    for token in band_word.split():
+        i, j = (int(x) for x in token.lstrip("-").split(":"))
+        perm[i], perm[j] = perm[j], perm[i]
+    seen = set()
+    cycles = 0
+    for start in range(1, n + 1):
+        if start not in seen:
+            cycles += 1
+            k = start
+            while k not in seen:
+                seen.add(k)
+                k = perm[k]
+    return cycles
+
+
+def _obeys_parity_law(mu, coeffs):
+    # A mu-component link's Conway polynomial is z^(mu-1) times a
+    # polynomial in z^2; a knot's constant term is 1.
+    if any(c and (d < mu - 1 or (d - mu + 1) % 2) for d, c in enumerate(coeffs)):
+        return False
+    return mu > 1 or coeffs[:1] == [1]
+
+
+def _conway_json(capsys, band_word, n):
+    code, out, err = run(
+        capsys, "conway", "--band", band_word, "-n", str(n), "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+def test_conway_on_ten_strands_is_fast_and_stable(capsys):
+    # Forty mixed-sign letters on 10 strands: a 9x9 determinant, which the
+    # cofactor expansion could not finish.
+    start = time.perf_counter()
+    coeffs = _conway_json(capsys, WIDE_10, 10)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"conway on 10 strands took {elapsed:.2f} s"
+    assert coeffs
+    assert _obeys_parity_law(_components(10, WIDE_10), coeffs)
+    # Markov stabilization does not change the closure.
+    assert _conway_json(capsys, WIDE_10 + " 10:11", 11) == coeffs
+
+
+def test_conway_answers_on_sixteen_strands(capsys):
+    coeffs = _conway_json(capsys, WIDE_16, 16)
+    assert _obeys_parity_law(_components(16, WIDE_16), coeffs)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_1_quietly(unbuffered):
+    # The reader is gone before the command writes anything, so the first
+    # write to stdout, buffered or not, meets a broken pipe.
+    src = str(Path(braidconway.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    flags = ["-u"] if unbuffered else []
+    argv = ["conway", "-n", "2", "--artin", "1 1 1"]
+    proc = subprocess.Popen(
+        [sys.executable, *flags, "-m", "braidconway.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == 1
+    assert err == b""
 
 
 # --- tree ---------------------------------------------------------------------

@@ -103,6 +103,17 @@ def test_div_exact_recovers_factor(a, b):
     assert (a * b).div_exact(b) == a
 
 
+@given(laurents, laurents)
+def test_div_exact_is_sound(p, b):
+    # Whatever p and b are, a returned quotient is exact.
+    assume(bool(b))
+    try:
+        q = p.div_exact(b)
+    except NotDivisible:
+        return
+    assert q * b == p
+
+
 # --- quantum bracket -------------------------------------------------------
 
 def test_bracket_small_values():
