@@ -101,21 +101,6 @@ class BurauMatrix:
             ),
         )
 
-    def __sub__(self, other: BurauMatrix) -> BurauMatrix:
-        if not isinstance(other, BurauMatrix):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError(
-                f"cannot subtract matrices for {self.n} and {other.n} strands"
-            )
-        return BurauMatrix(
-            self.n,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
     def det(self) -> LaurentPoly:
         """Fraction-free Bareiss elimination, O(size^3) ring operations.
 
@@ -217,7 +202,12 @@ def burau_rep(word: ArtinWord | BandWord) -> BurauMatrix:
 
 def conway_from_matrix(m: BurauMatrix, exponent_sum: int) -> ZPoly:
     """Normalize a word's matrix into the Conway polynomial of its closure."""
-    return _normalize(m.n, exponent_sum, (m - BurauMatrix.identity(m.n)).det())
+    one = LaurentPoly.term(1)
+    shifted = tuple(
+        tuple(entry - one if r == c else entry for c, entry in enumerate(row))
+        for r, row in enumerate(m.entries)
+    )
+    return _normalize(m.n, exponent_sum, BurauMatrix(m.n, shifted).det())
 
 
 #: Entries kept by the normalization memo.  All 29 524 words of a length

@@ -24,7 +24,6 @@ from .polyring import (
 from .skein3 import (
     LETTERS,
     LeafKind,
-    Letter,
     conway_via_skein,
     format_word,
     leaf_conway,
@@ -130,7 +129,7 @@ def check_balanced_exponent_powers(rng: random.Random) -> None:
 
 def check_ascending_cycles(rng: random.Random) -> None:
     for k in range(1, 7):
-        word = (Letter.G12, Letter.G23, Letter.G13) * k
+        word = LETTERS * k
         closed = leaf_conway(LeafKind.TRIPLE_POWER, k)
         if conway_via_skein(word) != closed:
             raise ClaimFailed(f"skein value off at k={k}")

@@ -30,7 +30,6 @@ from .braid import IndexOutOfRange, NotOrdered, ParseError, parse_artin, parse_b
 from .burau import BurauMatrix, burau_rep, conway_from_matrix, conway_via_burau
 from .skein3 import (
     LETTERS,
-    Letter,
     Word,
     conway_via_skein,
     format_word,
@@ -87,7 +86,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 # scan
 
 @lru_cache(maxsize=None)
-def _letter_matrix(letter: Letter) -> BurauMatrix:
+def _letter_matrix(letter: int) -> BurauMatrix:
     return burau_rep(to_band_word((letter,)))
 
 
@@ -182,7 +181,10 @@ def _scan(max_len: int, jobs: int, sink: TextIO, report: TextIO) -> int:
         distinct |= seen
     max_degree = max(len(coeffs) - 1 for coeffs in distinct)
 
-    sink.write("".join(line + "\n" for line in lines))
+    # One write per record: a reader that leaves mid-scan then raises
+    # BrokenPipeError, where one large write can lose its tail silently.
+    for line in lines:
+        sink.write(line + "\n")
     print(f"words: {len(lines)}", file=report)
     print(f"distinct conway polynomials: {len(distinct)}", file=report)
     print(f"max degree: {max_degree}", file=report)

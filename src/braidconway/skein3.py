@@ -12,6 +12,10 @@ successor here.  A cyclically adjacent pair of distinct letters is
 "descending" when the first is the successor of the second; the three
 descending pairs are precisely the three spellings of the relation above.
 
+In code the letters G12, G23, G13 are the ints 0, 1, 2, a word is a tuple
+of them, and the successor of x is (x + 1) % 3.  ``parse_word`` and
+``format_word`` spell the letters 1, 2, 13.
+
 The Conway polynomial of a closed positive band word resolves by a binary
 tree.  At a doubled letter (a "square") w = P x x Q the skein relation
 splits the closure into P Q, weight 1, and P x Q, weight z.  When no
@@ -45,7 +49,6 @@ from .braid import BandWord, ParseError
 from .polyring import Z, ZPoly, fibonacci_poly
 
 __all__ = [
-    "Letter",
     "LETTERS",
     "Word",
     "LeafKind",
@@ -68,31 +71,14 @@ __all__ = [
 ]
 
 
-class Letter(enum.Enum):
-    """A positive band generator on three strands."""
+#: The letters G12, G23, G13, in enumeration order wherever words are ordered.
+LETTERS = (0, 1, 2)
 
-    G12 = "1"
-    G23 = "2"
-    G13 = "13"
+Word = tuple[int, ...]
 
-    @property
-    def successor(self) -> "Letter":
-        return _SUCCESSOR[self]
-
-    def __repr__(self) -> str:
-        return f"Letter.{self.name}"
-
-
-_SUCCESSOR = {
-    Letter.G12: Letter.G23,
-    Letter.G23: Letter.G13,
-    Letter.G13: Letter.G12,
-}
-
-#: Enumeration order: G12 < G23 < G13 wherever words are ordered.
-LETTERS = (Letter.G12, Letter.G23, Letter.G13)
-
-Word = tuple[Letter, ...]
+#: The spelling of each letter, indexed by letter.
+_TOKENS = ("1", "2", "13")
+_BY_TOKEN = {token: letter for letter, token in enumerate(_TOKENS)}
 
 
 class Unresolvable(RuntimeError):
@@ -107,9 +93,6 @@ class NotDescending(ValueError):
     """rewrite_descending was pointed at a pair that does not descend."""
 
 
-_BY_TOKEN = {letter.value: letter for letter in LETTERS}
-
-
 def parse_word(text: str) -> Word:
     """Read a whitespace-separated word over the tokens 1, 2, 13."""
     out = []
@@ -121,10 +104,11 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(w: Word) -> str:
-    return " ".join(letter.value for letter in w)
+    return " ".join(_TOKENS[letter] for letter in w)
 
 
-_BAND_TRIPLE = {Letter.G12: (1, 2, 1), Letter.G23: (2, 3, 1), Letter.G13: (1, 3, 1)}
+#: The band letter (i, j, sign) of each letter, indexed by letter.
+_BAND_TRIPLE = ((1, 2, 1), (2, 3, 1), (1, 3, 1))
 
 
 def to_band_word(w: Word) -> BandWord:
@@ -150,7 +134,7 @@ def classify_leaf(w: Word) -> LeafKind | None:
         return LeafKind.SINGLE_LETTER
     if length == 2:
         return LeafKind.TWO_DISTINCT if w[0] != w[1] else None
-    if all(w[(t + 1) % length] is w[t].successor for t in range(length)):
+    if all(w[(t + 1) % length] == (w[t] + 1) % 3 for t in range(length)):
         # A full ascending cycle: the successor has order 3, so the length
         # is a multiple of 3 and w is a rotation of (G12 G23 G13)^(L/3).
         return LeafKind.TRIPLE_POWER
@@ -167,7 +151,7 @@ def find_square(w: Word) -> int | None:
     if length < 2:
         return None
     for t in range(length):
-        if w[t] is w[(t + 1) % length]:
+        if w[t] == w[(t + 1) % length]:
             return t
     return None
 
@@ -176,7 +160,7 @@ def rewrite_descending(w: Word, pos: int) -> Word:
     """Respell the descending cyclic pair at pos to end with the next letter.
 
     The pair (w[pos], w[pos+1]) is one spelling of the two-letter relation
-    element; the spelling ending in x is (successor(x), x).  Choosing x to
+    element; the spelling ending in x is ((x + 1) % 3, x).  Choosing x to
     be the letter at pos+2 plants a square at (pos+1, pos+2).  Positions
     are cyclic and the word keeps its length.
     """
@@ -184,13 +168,13 @@ def rewrite_descending(w: Word, pos: int) -> Word:
     if length < 3:
         raise NotDescending(f"need at least 3 letters, got {length}")
     a, b = w[pos], w[(pos + 1) % length]
-    if b.successor is not a:
+    if (b + 1) % 3 != a:
         raise NotDescending(
-            f"pair at {pos} ({a.value} {b.value}) does not descend"
+            f"pair at {pos} ({_TOKENS[a]} {_TOKENS[b]}) does not descend"
         )
     nxt = w[(pos + 2) % length]
     out = list(w)
-    out[pos] = nxt.successor
+    out[pos] = (nxt + 1) % 3
     out[(pos + 1) % length] = nxt
     return tuple(out)
 
@@ -206,7 +190,7 @@ def split_square(w: Word, pos: int) -> tuple[Word, Word]:
     length = len(w)
     if pos < 0 or pos >= length:
         raise NoSquare(f"position {pos} out of range for length {length}")
-    if w[pos] is not w[(pos + 1) % length]:
+    if w[pos] != w[(pos + 1) % length]:
         raise NoSquare(f"no square at position {pos}")
     if pos + 1 == length:
         w = w[pos:] + w[:pos]
@@ -218,7 +202,7 @@ def split_square(w: Word, pos: int) -> tuple[Word, Word]:
 def _leftmost_descending(w: Word) -> int | None:
     length = len(w)
     for t in range(length):
-        if w[(t + 1) % length].successor is w[t]:
+        if (w[(t + 1) % length] + 1) % 3 == w[t]:
             return t
     return None
 

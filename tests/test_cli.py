@@ -149,6 +149,31 @@ def test_closed_stdout_exits_1_quietly(unbuffered):
     assert err == b""
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_scan_into_a_pipe_closed_midway_exits_1_quietly(unbuffered):
+    # The records of a length <= 8 scan (about 1 MB) overflow a pipe's
+    # buffer, so the reader leaves while the scan is still writing.
+    src = str(Path(braidconway.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    flags = ["-u"] if unbuffered else []
+    proc = subprocess.Popen(
+        [sys.executable, *flags, "-m", "braidconway.cli", "scan", "--max-len", "8"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert json.loads(first)["word"] == ""
+    assert code == 1
+    assert err == b""
+
+
 # --- tree ---------------------------------------------------------------------
 
 def test_tree_json_document(capsys):

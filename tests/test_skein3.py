@@ -11,7 +11,6 @@ from braidconway.polyring import Z, ZPoly
 from braidconway.skein3 import (
     LETTERS,
     LeafKind,
-    Letter,
     NoSquare,
     NotDescending,
     classify_leaf,
@@ -39,14 +38,23 @@ def _random_word(rng, max_len):
 
 # --- alphabet ----------------------------------------------------------------
 
+def _successor(x):
+    return (x + 1) % 3
+
+
 def test_successor_cycles():
-    assert Letter.G12.successor is Letter.G23
-    assert Letter.G23.successor is Letter.G13
-    assert Letter.G13.successor is Letter.G12
+    # G12 -> G23 -> G13 -> G12, spelled 1 -> 2 -> 13 -> 1.
+    assert parse_word("1 2 13") == (0, 1, 2)
+    assert _successor(0) == 1
+    assert _successor(1) == 2
+    assert _successor(2) == 0
+    for x in LETTERS:
+        cycle = (x, _successor(x), _successor(_successor(x)))
+        assert classify_leaf(cycle) == LeafKind.TRIPLE_POWER
 
 
 def test_parse_and_format():
-    assert w("1 2 13") == (Letter.G12, Letter.G23, Letter.G13)
+    assert w("1 2 13") == LETTERS == (0, 1, 2)
     assert w("") == ()
     assert format_word(w("13 13 2")) == "13 13 2"
     with pytest.raises(ParseError):
@@ -170,7 +178,7 @@ def test_rewrite_preserves_matrix_on_interior_pairs():
         if length < 3:
             continue
         for t in range(length - 1):
-            if word[(t + 1) % length].successor is word[t]:
+            if _successor(word[(t + 1) % length]) == word[t]:
                 rewritten = rewrite_descending(word, t)
                 assert burau_rep(to_band_word(rewritten)) == burau_rep(
                     to_band_word(word)
@@ -187,7 +195,7 @@ def test_rewrite_preserves_closure_on_wraparound_pairs():
         if length < 3:
             continue
         t = length - 1
-        if word[0].successor is word[t]:
+        if _successor(word[0]) == word[t]:
             rewritten = rewrite_descending(word, t)
             assert conway_via_burau(to_band_word(rewritten)) == conway_via_burau(
                 to_band_word(word)
@@ -238,6 +246,20 @@ def test_tree_accounting():
         tree = resolve(word)
         assert check(tree) == conway_via_skein(word)
         assert tree.value() == conway_via_skein(word)
+
+
+def test_delta_relabel_keeps_both_routes():
+    # Conjugation by delta = G23 G12 maps every letter to its successor,
+    # so the closure, and with it each route's value, is unchanged.
+    for length in range(8):
+        for word in product(LETTERS, repeat=length):
+            relabelled = tuple(_successor(x) for x in word)
+            assert conway_via_skein(relabelled) == conway_via_skein(
+                word
+            ), format_word(word)
+            assert conway_via_burau(to_band_word(relabelled)) == conway_via_burau(
+                to_band_word(word)
+            ), format_word(word)
 
 
 def test_exhaustive_agreement_up_to_length_six():
