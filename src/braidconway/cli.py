@@ -28,6 +28,7 @@ from typing import TextIO
 from . import claims
 from .braid import IndexOutOfRange, NotOrdered, ParseError, parse_artin, parse_band
 from .burau import BurauMatrix, burau_rep, conway_from_matrix, conway_via_burau
+from .polyring import ZPoly
 from .skein3 import (
     LETTERS,
     Word,
@@ -90,9 +91,7 @@ def _letter_matrix(letter: int) -> BurauMatrix:
     return burau_rep(to_band_word((letter,)))
 
 
-def _record(word: Word, matrix: BurauMatrix) -> tuple[str, tuple[int, ...]]:
-    # A positive band word's exponent sum is its length.
-    via_matrix = conway_from_matrix(matrix, len(word))
+def _record(word: Word, via_matrix: ZPoly) -> tuple[str, tuple[int, ...]]:
     via_skein = conway_via_skein(word)
     if via_skein != via_matrix:
         raise ScanViolation(
@@ -118,21 +117,38 @@ def _scan_subtree(
 ) -> tuple[dict[int, list[str]], set[tuple[int, ...]]]:
     """Records for prefix and all extensions up to max_len, grouped by length.
 
-    Walks the extension trie depth first in letter order, reusing each
-    prefix's matrix product, so every word costs one matrix multiplication.
+    Walks the extension trie depth first in letter order, extending each
+    prefix's matrix by one letter.  Many words spell the same braid (the
+    3^L words of length L give 2^(L+1) - 1 braids), and the Burau matrix
+    is faithful on three strands, so the matrix work is memoized on the
+    exact matrix: one product per distinct (matrix, letter) pair and one
+    Conway normalization per distinct matrix.  The memos live for this
+    call only, so a task's work does not depend on what ran before it.
+    Every word's skein value is still computed and compared.
     """
     buffers: dict[int, list[str]] = {
         length: [] for length in range(len(prefix), max_len + 1)
     }
     seen: set[tuple[int, ...]] = set()
+    products: dict[tuple[BurauMatrix, int], BurauMatrix] = {}
+    values: dict[tuple[BurauMatrix, int], ZPoly] = {}
 
     def walk(word: Word, matrix: BurauMatrix) -> None:
-        line, coeffs = _record(word, matrix)
+        # A positive band word's exponent sum is its length.
+        key = (matrix, len(word))
+        via_matrix = values.get(key)
+        if via_matrix is None:
+            via_matrix = values[key] = conway_from_matrix(matrix, len(word))
+        line, coeffs = _record(word, via_matrix)
         buffers[len(word)].append(line)
         seen.add(coeffs)
         if len(word) < max_len:
             for letter in LETTERS:
-                walk(word + (letter,), matrix * _letter_matrix(letter))
+                step = (matrix, letter)
+                child = products.get(step)
+                if child is None:
+                    child = products[step] = matrix * _letter_matrix(letter)
+                walk(word + (letter,), child)
 
     walk(prefix, burau_rep(to_band_word(prefix)))
     return buffers, seen

@@ -48,18 +48,21 @@ class LaurentPoly:
     The coefficient map is canonical (zero coefficients are never stored),
     so two values are equal exactly when their maps are equal.  Instances
     are immutable by convention; every operation returns a new object.
+    The hash is computed on first use and kept, since matrices of these
+    serve as dictionary keys.
 
     >>> p = LaurentPoly({-1: 1, 1: -1})
     >>> str(p * p)
     's^-2 - 2 + s^2'
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_hash")
 
     def __init__(self, coeffs: dict[int, int] | None = None):
         self._coeffs: dict[int, int] = (
             {e: c for e, c in coeffs.items() if c} if coeffs else {}
         )
+        self._hash: int | None = None
 
     @classmethod
     def term(cls, coeff: int, exp: int = 0) -> LaurentPoly:
@@ -94,7 +97,9 @@ class LaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self._coeffs.items()))
+        return self._hash
 
     def __neg__(self) -> LaurentPoly:
         return LaurentPoly({e: -c for e, c in self._coeffs.items()})

@@ -34,9 +34,9 @@ is the sum over leaves of z^(number of weight-z edges on the path) times
 the leaf value.  Every step is deterministic, leftmost-first, so the same
 word always produces the same tree.
 
-Values are computed in one place: a memoized recursion from words to
-values, which ``conway_via_skein`` returns and every tree ``Node`` reads.
-``resolve`` builds the tree's structure only.
+Values are computed in one place: a recursion from words to values over
+a memo of subword values, which ``conway_via_skein`` returns and every
+tree ``Node`` reads.  ``resolve`` builds the tree's structure only.
 """
 
 from __future__ import annotations
@@ -76,9 +76,10 @@ LETTERS = (0, 1, 2)
 
 Word = tuple[int, ...]
 
-#: The spelling of each letter, indexed by letter.
-_TOKENS = ("1", "2", "13")
-_BY_TOKEN = {token: letter for letter, token in enumerate(_TOKENS)}
+#: The spelling of each letter.  Letters are looked up in dicts, not
+#: tuples, so that a negative int is refused rather than read from the end.
+_TOKENS = {0: "1", 1: "2", 2: "13"}
+_BY_TOKEN = {token: letter for letter, token in _TOKENS.items()}
 
 
 class Unresolvable(RuntimeError):
@@ -103,17 +104,33 @@ def parse_word(text: str) -> Word:
     return tuple(out)
 
 
+def _not_a_letter(exc: KeyError) -> ValueError:
+    return ValueError(
+        f"not a three-strand letter: {exc.args[0]!r}, expected 0, 1 or 2"
+    )
+
+
 def format_word(w: Word) -> str:
-    return " ".join(_TOKENS[letter] for letter in w)
+    """Spell a word with the tokens 1, 2, 13; any other letter raises ValueError."""
+    try:
+        return " ".join([_TOKENS[letter] for letter in w])
+    except KeyError as exc:
+        raise _not_a_letter(exc) from None
 
 
-#: The band letter (i, j, sign) of each letter, indexed by letter.
-_BAND_TRIPLE = ((1, 2, 1), (2, 3, 1), (1, 3, 1))
+#: The band letter (i, j, sign) of each letter.
+_BAND_TRIPLE = {0: (1, 2, 1), 1: (2, 3, 1), 2: (1, 3, 1)}
 
 
 def to_band_word(w: Word) -> BandWord:
-    """The same word as a positive BandWord on three strands."""
-    return BandWord(3, tuple(_BAND_TRIPLE[letter] for letter in w))
+    """The same word as a positive BandWord on three strands.
+
+    Any letter outside 0, 1, 2 raises ValueError.
+    """
+    try:
+        return BandWord(3, tuple([_BAND_TRIPLE[letter] for letter in w]))
+    except KeyError as exc:
+        raise _not_a_letter(exc) from None
 
 
 class LeafKind(enum.Enum):
@@ -353,8 +370,7 @@ def tree_to_dot(root: Node) -> str:
     return "\n".join(lines)
 
 
-@lru_cache(maxsize=None)
-def _skein_value(w: Word) -> ZPoly:
+def _skein_combine(w: Word) -> ZPoly:
     # The only place where child values are combined.
     leaf = classify_leaf(w)
     if leaf is not None:
@@ -363,11 +379,16 @@ def _skein_value(w: Word) -> ZPoly:
     return _skein_value(erased) + Z * _skein_value(reduced)
 
 
+#: The memo of subword values.
+_skein_value = lru_cache(maxsize=None)(_skein_combine)
+
+
 def conway_via_skein(w: Word) -> ZPoly:
     """The Conway polynomial of the closure of w, by resolution.
 
     Subword values are cached, so sweeping many related words stays
-    cheap.  ``resolve(w).value()`` reads the same cache, so the two agree
-    by construction.
+    cheap; w's own value is not, since a sweep asks for each word once.
+    ``resolve(w).value()`` reads the same cache and computes values the
+    same way, so the two agree by construction.
     """
-    return _skein_value(w)
+    return _skein_combine(w)

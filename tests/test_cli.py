@@ -273,6 +273,30 @@ def test_scan_counts_match_alphabet_growth(capsys, tmp_path):
     assert "words: 121" in out
 
 
+def test_scan_takes_one_determinant_per_braid(monkeypatch):
+    # The 3^k words of length k spell 2^(k+1) - 1 distinct braids, so a
+    # walk that normalizes each distinct matrix once takes
+    # sum_{k <= L} (2^(k+1) - 1) = 2^(L+2) - L - 3 determinants.  The same
+    # count on a second walk shows that no memo outlives its walk.
+    from braidconway import cli
+    from braidconway.burau import BurauMatrix
+
+    calls = 0
+    det = BurauMatrix.det
+
+    def counted_det(self):
+        nonlocal calls
+        calls += 1
+        return det(self)
+
+    monkeypatch.setattr(BurauMatrix, "det", counted_det)
+    for max_len in range(9):
+        for _ in range(2):
+            calls = 0
+            cli._scan_subtree((), max_len)
+            assert calls == 2 ** (max_len + 2) - max_len - 3
+
+
 def test_scan_deterministic_across_jobs(capsys, tmp_path):
     single = tmp_path / "single.jsonl"
     parallel = tmp_path / "parallel.jsonl"

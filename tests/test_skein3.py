@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from braidconway import skein3
 from braidconway.braid import ParseError
 from braidconway.burau import burau_rep, conway_via_burau
 from braidconway.polyring import Z, ZPoly
@@ -68,6 +69,15 @@ def test_to_band_word():
     assert band.n == 3
     assert band.letters == ((1, 2, 1), (2, 3, 1), (1, 3, 1))
     assert band.is_positive()
+
+
+@pytest.mark.parametrize("word", [(-1,), (-1, 0), (0, 3), (1, -3)])
+def test_foreign_letters_are_refused(word):
+    # A negative int must not be read as a letter counted from the end.
+    with pytest.raises(ValueError, match="not a three-strand letter"):
+        format_word(word)
+    with pytest.raises(ValueError, match="not a three-strand letter"):
+        to_band_word(word)
 
 
 # --- leaves ------------------------------------------------------------------
@@ -246,6 +256,29 @@ def test_tree_accounting():
         tree = resolve(word)
         assert check(tree) == conway_via_skein(word)
         assert tree.value() == conway_via_skein(word)
+
+
+def test_conway_via_skein_memoizes_subwords_not_the_word():
+    # A sweep asks for each word once, so only subword values are kept.
+    word = w("1 2 1 2 13 2 2 1")
+    memo = skein3._skein_value
+    memo.cache_clear()
+    value = conway_via_skein(word)
+    tree = resolve(word)
+
+    def descendants(node):
+        if node.leaf is None:
+            for child in (node.left, node.right):
+                yield child
+                yield from descendants(child)
+
+    misses = memo.cache_info().misses
+    assert memo.cache_info().currsize > 0
+    for node in descendants(tree):
+        memo(node.word)
+    assert memo.cache_info().misses == misses
+    assert tree.value() == value
+    assert memo.cache_info().misses == misses + 1
 
 
 def test_delta_relabel_keeps_both_routes():
