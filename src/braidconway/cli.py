@@ -91,25 +91,23 @@ def _letter_matrix(letter: int) -> BurauMatrix:
     return burau_rep(to_band_word((letter,)))
 
 
-def _record(word: Word, via_matrix: ZPoly) -> tuple[str, tuple[int, ...]]:
+def _record(word: Word, text: str, via_matrix: ZPoly) -> tuple[str, tuple[int, ...]]:
+    """The JSON line of word, spelled text, after both checks.
+
+    The line is built by hand in ``json.dumps``'s default layout: text
+    holds only digits and spaces, and the coefficients are ints.
+    """
     via_skein = conway_via_skein(word)
     if via_skein != via_matrix:
-        raise ScanViolation(
-            format_word(word),
-            f"skein gives {via_skein}, matrix gives {via_matrix}",
-        )
+        raise ScanViolation(text, f"skein gives {via_skein}, matrix gives {via_matrix}")
     if not via_skein.is_nonneg():
-        raise ScanViolation(format_word(word), f"negative coefficient in {via_skein}")
-    line = json.dumps(
-        {
-            "word": format_word(word),
-            "len": len(word),
-            "conway": list(via_skein.coeffs),
-            "nonneg": True,
-            "agree": True,
-        }
+        raise ScanViolation(text, f"negative coefficient in {via_skein}")
+    coeffs = via_skein.coeffs
+    line = (
+        f'{{"word": "{text}", "len": {len(word)}, '
+        f'"conway": [{", ".join(map(str, coeffs))}], "nonneg": true, "agree": true}}'
     )
-    return line, via_skein.coeffs
+    return line, coeffs
 
 
 def _scan_subtree(
@@ -118,39 +116,52 @@ def _scan_subtree(
     """Records for prefix and all extensions up to max_len, grouped by length.
 
     Walks the extension trie depth first in letter order, extending each
-    prefix's matrix by one letter.  Many words spell the same braid (the
-    3^L words of length L give 2^(L+1) - 1 braids), and the Burau matrix
-    is faithful on three strands, so the matrix work is memoized on the
-    exact matrix: one product per distinct (matrix, letter) pair and one
-    Conway normalization per distinct matrix.  The memos live for this
-    call only, so a task's work does not depend on what ran before it.
-    Every word's skein value is still computed and compared.
+    prefix's matrix and its spelling by one letter.  Many words spell the
+    same braid (the 3^L words of length L give 2^(L+1) - 1 braids), and
+    the Burau matrix is faithful on three strands, so each distinct
+    (matrix, length) gets a small int id the first time the walk meets
+    it.  Matrices and their Conway values sit in lists indexed by id, and
+    steps are memoized as (id, letter) -> id: one product per distinct
+    (braid, letter) pair, one Conway normalization per distinct braid,
+    and a matrix is hashed once, when its product is new.  The memos live
+    for this call only, so a task's work does not depend on what ran
+    before it.  Every word's skein value is still computed and compared.
     """
     buffers: dict[int, list[str]] = {
         length: [] for length in range(len(prefix), max_len + 1)
     }
     seen: set[tuple[int, ...]] = set()
-    products: dict[tuple[BurauMatrix, int], BurauMatrix] = {}
-    values: dict[tuple[BurauMatrix, int], ZPoly] = {}
+    ids: dict[tuple[BurauMatrix, int], int] = {}
+    matrices: list[BurauMatrix] = []
+    values: list[ZPoly] = []
+    steps: dict[tuple[int, int], int] = {}
+    tokens = [format_word((letter,)) for letter in LETTERS]
 
-    def walk(word: Word, matrix: BurauMatrix) -> None:
+    def braid_id(matrix: BurauMatrix, length: int) -> int:
         # A positive band word's exponent sum is its length.
-        key = (matrix, len(word))
-        via_matrix = values.get(key)
-        if via_matrix is None:
-            via_matrix = values[key] = conway_from_matrix(matrix, len(word))
-        line, coeffs = _record(word, via_matrix)
+        braid = ids.setdefault((matrix, length), len(matrices))
+        if braid == len(matrices):
+            matrices.append(matrix)
+            values.append(conway_from_matrix(matrix, length))
+        return braid
+
+    def walk(word: Word, text: str, braid: int) -> None:
+        line, coeffs = _record(word, text, values[braid])
         buffers[len(word)].append(line)
         seen.add(coeffs)
         if len(word) < max_len:
+            head = text + " " if text else ""
             for letter in LETTERS:
-                step = (matrix, letter)
-                child = products.get(step)
+                step = (braid, letter)
+                child = steps.get(step)
                 if child is None:
-                    child = products[step] = matrix * _letter_matrix(letter)
-                walk(word + (letter,), child)
+                    child = steps[step] = braid_id(
+                        matrices[braid] * _letter_matrix(letter), len(word) + 1
+                    )
+                walk(word + (letter,), head + tokens[letter], child)
 
-    walk(prefix, burau_rep(to_band_word(prefix)))
+    root = braid_id(burau_rep(to_band_word(prefix)), len(prefix))
+    walk(prefix, format_word(prefix), root)
     return buffers, seen
 
 

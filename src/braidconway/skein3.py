@@ -376,7 +376,8 @@ def _skein_combine(w: Word) -> ZPoly:
     if leaf is not None:
         return leaf_conway(leaf, len(w) // 3)
     erased, reduced = _resolution_step(w)
-    return _skein_value(erased) + Z * _skein_value(reduced)
+    # Times z is a shift; the zero value stays () as the trailing 0 is trimmed.
+    return _skein_value(erased) + ZPoly((0,) + _skein_value(reduced).coeffs)
 
 
 #: The memo of subword values.

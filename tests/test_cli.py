@@ -297,6 +297,97 @@ def test_scan_takes_one_determinant_per_braid(monkeypatch):
             assert calls == 2 ** (max_len + 2) - max_len - 3
 
 
+def test_scan_takes_one_product_per_braid_and_letter(monkeypatch):
+    # Each braid of length < L is extended once by each of the three
+    # letters: 3 * sum_{k < L} (2^(k+1) - 1) = 3 * (2^(L+1) - L - 2)
+    # products, once the letter matrices themselves are cached.  The same
+    # count on a second walk shows that no memo outlives its walk.
+    from braidconway import cli
+    from braidconway.burau import BurauMatrix
+    from braidconway.skein3 import LETTERS
+
+    for letter in LETTERS:
+        cli._letter_matrix(letter)
+    calls = 0
+    mul = BurauMatrix.__mul__
+
+    def counted_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(BurauMatrix, "__mul__", counted_mul)
+    for max_len in range(9):
+        for _ in range(2):
+            calls = 0
+            cli._scan_subtree((), max_len)
+            assert calls == 3 * (2 ** (max_len + 1) - max_len - 2)
+    assert calls == 1506
+
+
+def _scan_failure(capsys, tmp_path):
+    out_path = tmp_path / "scan.jsonl"
+    code, out, err = run(capsys, "scan", "--max-len", "4", "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert out_path.read_text() == ""
+    return err
+
+
+def test_scan_stops_when_the_routes_disagree(capsys, tmp_path, monkeypatch):
+    from braidconway import cli
+    from braidconway.polyring import ZPoly
+    from braidconway.skein3 import parse_word
+
+    chosen = parse_word("1 2 13")
+    skein = cli.conway_via_skein
+    wrong = ZPoly((0, 2, 0, 1))
+    monkeypatch.setattr(
+        cli, "conway_via_skein", lambda w: wrong if w == chosen else skein(w)
+    )
+    err = _scan_failure(capsys, tmp_path)
+    assert err == (
+        "scan aborted at word '1 2 13': skein gives 2z + z^3, matrix gives 2z\n"
+    )
+
+
+def test_scan_stops_at_a_negative_coefficient(capsys, tmp_path, monkeypatch):
+    # Both routes give the same negative value for "1 2 13", the only
+    # spelling of its braid, so only the sign check can stop the scan.
+    from braidconway import cli
+    from braidconway.burau import burau_rep
+    from braidconway.polyring import ZPoly
+    from braidconway.skein3 import parse_word, to_band_word
+
+    chosen = parse_word("1 2 13")
+    chosen_matrix = burau_rep(to_band_word(chosen))
+    skein, matrix = cli.conway_via_skein, cli.conway_from_matrix
+    negative = ZPoly((0, 2, -1))
+    monkeypatch.setattr(
+        cli, "conway_via_skein", lambda w: negative if w == chosen else skein(w)
+    )
+    monkeypatch.setattr(
+        cli,
+        "conway_from_matrix",
+        lambda m, e: negative if m == chosen_matrix else matrix(m, e),
+    )
+    err = _scan_failure(capsys, tmp_path)
+    assert err == (
+        "scan aborted at word '1 2 13': negative coefficient in 2z - z^2\n"
+    )
+
+
+def test_scan_records_match_json_dumps(capsys):
+    # The records are formatted by hand; each must be exactly what
+    # json.dumps makes of its own parse.
+    code, out, err = run(capsys, "scan", "--max-len", "6")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1093
+    for line in lines:
+        assert line == json.dumps(json.loads(line))
+
+
 def test_scan_deterministic_across_jobs(capsys, tmp_path):
     single = tmp_path / "single.jsonl"
     parallel = tmp_path / "parallel.jsonl"
