@@ -91,23 +91,29 @@ def _letter_matrix(letter: int) -> BurauMatrix:
     return burau_rep(to_band_word((letter,)))
 
 
-def _record(word: Word, text: str, via_matrix: ZPoly) -> tuple[str, tuple[int, ...]]:
+def _record(
+    word: Word, text: str, via_matrix: ZPoly, tails: dict[tuple[int, ...], str]
+) -> str:
     """The JSON line of word, spelled text, after both checks.
 
     The line is built by hand in ``json.dumps``'s default layout: text
-    holds only digits and spaces, and the coefficients are ints.
+    holds only digits and spaces, and the coefficients are ints.  tails
+    maps each value already checked non-negative to the end of its line,
+    so the sign check and the formatting of the coefficients run once per
+    distinct value; the two routes are still compared on every word.
     """
     via_skein = conway_via_skein(word)
     if via_skein != via_matrix:
         raise ScanViolation(text, f"skein gives {via_skein}, matrix gives {via_matrix}")
-    if not via_skein.is_nonneg():
-        raise ScanViolation(text, f"negative coefficient in {via_skein}")
     coeffs = via_skein.coeffs
-    line = (
-        f'{{"word": "{text}", "len": {len(word)}, '
-        f'"conway": [{", ".join(map(str, coeffs))}], "nonneg": true, "agree": true}}'
-    )
-    return line, coeffs
+    tail = tails.get(coeffs)
+    if tail is None:
+        if not via_skein.is_nonneg():
+            raise ScanViolation(text, f"negative coefficient in {via_skein}")
+        tail = tails[coeffs] = (
+            f'"conway": [{", ".join(map(str, coeffs))}], "nonneg": true, "agree": true}}'
+        )
+    return f'{{"word": "{text}", "len": {len(word)}, {tail}'
 
 
 def _scan_subtree(
@@ -125,12 +131,14 @@ def _scan_subtree(
     (braid, letter) pair, one Conway normalization per distinct braid,
     and a matrix is hashed once, when its product is new.  The memos live
     for this call only, so a task's work does not depend on what ran
-    before it.  Every word's skein value is still computed and compared.
+    before it.  Every word's skein value is still computed and compared;
+    the record tails of the distinct values, kept for the same call, are
+    also the set of values the walk met.
     """
     buffers: dict[int, list[str]] = {
         length: [] for length in range(len(prefix), max_len + 1)
     }
-    seen: set[tuple[int, ...]] = set()
+    tails: dict[tuple[int, ...], str] = {}
     ids: dict[tuple[BurauMatrix, int], int] = {}
     matrices: list[BurauMatrix] = []
     values: list[ZPoly] = []
@@ -146,9 +154,7 @@ def _scan_subtree(
         return braid
 
     def walk(word: Word, text: str, braid: int) -> None:
-        line, coeffs = _record(word, text, values[braid])
-        buffers[len(word)].append(line)
-        seen.add(coeffs)
+        buffers[len(word)].append(_record(word, text, values[braid], tails))
         if len(word) < max_len:
             head = text + " " if text else ""
             for letter in LETTERS:
@@ -162,7 +168,7 @@ def _scan_subtree(
 
     root = braid_id(burau_rep(to_band_word(prefix)), len(prefix))
     walk(prefix, format_word(prefix), root)
-    return buffers, seen
+    return buffers, set(tails)
 
 
 def _scan_task(task: tuple[Word, int]) -> tuple[dict[int, list[str]], set[tuple[int, ...]]]:

@@ -200,10 +200,12 @@ class ZPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...] | list[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        # A tuple is kept as it is; it is sliced only to drop trailing zeros.
+        cs = tuple(coeffs)
+        end = len(cs)
+        while end and cs[end - 1] == 0:
+            end -= 1
+        self._coeffs = cs[:end] if end < len(cs) else cs
 
     @property
     def coeffs(self) -> tuple[int, ...]:

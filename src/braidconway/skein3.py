@@ -44,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from functools import lru_cache
+from operator import add
 
 from .braid import BandWord, ParseError
 from .polyring import Z, ZPoly, fibonacci_poly
@@ -133,6 +134,10 @@ def to_band_word(w: Word) -> BandWord:
         raise _not_a_letter(exc) from None
 
 
+#: The ascending cycle that starts at each letter: (x, x + 1, x + 2) mod 3.
+_CYCLE = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
 class LeafKind(enum.Enum):
     """What kind of leaf a word is; a triple power of length L has k = L // 3."""
 
@@ -151,9 +156,11 @@ def classify_leaf(w: Word) -> LeafKind | None:
         return LeafKind.SINGLE_LETTER
     if length == 2:
         return LeafKind.TWO_DISTINCT if w[0] != w[1] else None
-    if all(w[(t + 1) % length] == (w[t] + 1) % 3 for t in range(length)):
-        # A full ascending cycle: the successor has order 3, so the length
-        # is a multiple of 3 and w is a rotation of (G12 G23 G13)^(L/3).
+    # A full ascending cycle: the successor has order 3, so the length is
+    # a multiple of 3 and w repeats the cycle that starts at its first
+    # letter.  The % 3 keeps a foreign first letter from indexing _CYCLE;
+    # such a word never equals the cycle it picks.
+    if length % 3 == 0 and w == _CYCLE[w[0] % 3] * (length // 3):
         return LeafKind.TRIPLE_POWER
     return None
 
@@ -376,8 +383,20 @@ def _skein_combine(w: Word) -> ZPoly:
     if leaf is not None:
         return leaf_conway(leaf, len(w) // 3)
     erased, reduced = _resolution_step(w)
-    # Times z is a shift; the zero value stays () as the trailing 0 is trimmed.
-    return _skein_value(erased) + ZPoly((0,) + _skein_value(reduced).coeffs)
+    # value(erased) + z * value(reduced), on the coefficient tuples: times
+    # z is a shift by one degree, so lo[0] stands alone, lo[1:] meets hi,
+    # and the longer of the two supplies the tail.  Only when both reach
+    # the same top degree can it cancel, and ZPoly trims just then.
+    lo_value = _skein_value(erased)
+    hi = _skein_value(reduced).coeffs
+    if not hi:
+        return lo_value
+    lo = lo_value.coeffs
+    if not lo:
+        return ZPoly((0,) + hi)
+    return ZPoly(
+        (lo[0],) + tuple(map(add, lo[1:], hi)) + lo[len(hi) + 1 :] + hi[len(lo) - 1 :]
+    )
 
 
 #: The memo of subword values.

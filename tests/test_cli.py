@@ -377,6 +377,32 @@ def test_scan_stops_at_a_negative_coefficient(capsys, tmp_path, monkeypatch):
     )
 
 
+def test_scan_compares_every_word_even_for_a_value_already_checked(
+    capsys, tmp_path, monkeypatch
+):
+    # The walk checks and formats each distinct value once.  A wrong value
+    # that the walk has already met, here the unknot's 1 from "1 2", must
+    # still stop the scan at the last word of length 6, whose closure has
+    # a split component and so the value 0.
+    from braidconway import cli
+    from braidconway.polyring import ZPoly
+    from braidconway.skein3 import parse_word
+
+    chosen = parse_word("13 13 13 13 13 13")
+    skein = cli.conway_via_skein
+    monkeypatch.setattr(
+        cli, "conway_via_skein", lambda w: ZPoly((1,)) if w == chosen else skein(w)
+    )
+    out_path = tmp_path / "scan.jsonl"
+    code, out, err = run(capsys, "scan", "--max-len", "6", "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert out_path.read_text() == ""
+    assert err == (
+        "scan aborted at word '13 13 13 13 13 13': skein gives 1, matrix gives 0\n"
+    )
+
+
 def test_scan_records_match_json_dumps(capsys):
     # The records are formatted by hand; each must be exactly what
     # json.dumps makes of its own parse.

@@ -141,6 +141,21 @@ def test_zpoly_trims_trailing_zeros():
     assert ZPoly((0, 0, 5)).degree == 2
 
 
+def test_zpoly_construction_is_the_same_from_lists_and_tuples():
+    for cs in [(), (0,), (0, 0), (3,), (1, 0, 2), (1, 0, 2, 0, 0), (0, 0, -4, 0)]:
+        trimmed = list(cs)
+        while trimmed and trimmed[-1] == 0:
+            trimmed.pop()
+        assert ZPoly(cs).coeffs == ZPoly(list(cs)).coeffs == tuple(trimmed)
+        assert ZPoly(cs) == ZPoly(list(cs))
+        assert hash(ZPoly(cs)) == hash(ZPoly(list(cs)))
+    assert ZPoly(()) == ZPoly([]) == ZPoly((0, 0, 0)) == ZPoly()
+    assert ZPoly([0]).coeffs == ()
+    # A tuple with no trailing zero is kept, not copied.
+    trimmed = (1, 0, 2)
+    assert ZPoly(trimmed).coeffs is trimmed
+
+
 def test_zpoly_is_nonneg():
     assert ZPoly((1, 0, 7)).is_nonneg()
     assert ZPoly().is_nonneg()

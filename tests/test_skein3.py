@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidconway import skein3
 from braidconway.braid import ParseError
@@ -99,6 +101,74 @@ def test_classify_rejects_non_leaves():
     assert classify_leaf(w("1 2 1 2")) is None
     assert classify_leaf(w("1 2 13 1")) is None
     assert classify_leaf(w("1 13 2")) is None
+
+
+def _ascends_all_the_way(word):
+    # The reference definition: every cyclic pair, wraparound included,
+    # steps to the successor.
+    length = len(word)
+    return all(
+        word[(t + 1) % length] == _successor(word[t]) for t in range(length)
+    )
+
+
+def _reference_leaf(word):
+    if len(word) == 0:
+        return LeafKind.EMPTY
+    if len(word) == 1:
+        return LeafKind.SINGLE_LETTER
+    if len(word) == 2:
+        return LeafKind.TWO_DISTINCT if word[0] != word[1] else None
+    return LeafKind.TRIPLE_POWER if _ascends_all_the_way(word) else None
+
+
+def test_classify_leaf_matches_the_pairwise_definition():
+    for length in range(10):
+        for word in product(LETTERS, repeat=length):
+            assert classify_leaf(word) == _reference_leaf(word), format_word(word)
+
+
+def test_classify_leaf_refuses_foreign_first_letters():
+    # A first letter outside 0, 1, 2 picks no cycle that the word can equal.
+    for word in [(3, 1, 2), (-1, 0, 1), (-3, 1, 2), (5, 0, 1, 2, 0, 1)]:
+        assert classify_leaf(word) is _reference_leaf(word) is None
+
+
+def test_skein_combine_matches_zpoly_arithmetic():
+    # The combine step adds z * value(reduced) on raw coefficient tuples;
+    # it must equal the same sum taken with ZPoly's own operators.
+    for length in range(9):
+        for word in product(LETTERS, repeat=length):
+            leaf = _reference_leaf(word)
+            if leaf is not None:
+                expected = leaf_conway(leaf, length // 3)
+            else:
+                erased, reduced = skein3._resolution_step(word)
+                expected = skein3._skein_value(erased) + Z * skein3._skein_value(
+                    reduced
+                )
+            assert skein3._skein_combine(word) == expected, format_word(word)
+
+
+_zpolys = st.lists(st.integers(-3, 3), max_size=6).map(ZPoly)
+
+
+@example(ZPoly((1, 1)), ZPoly((-1,)))  # the top cancels: 1
+@example(ZPoly((0, 2, 1)), ZPoly((-2, -1)))  # everything cancels: 0
+@example(ZPoly((4,)), ZPoly((0, 0, 3)))
+@given(_zpolys, _zpolys)
+def test_skein_combine_adds_any_two_child_values(lo, hi):
+    # Real children have non-negative values, whose sum never cancels; fed
+    # arbitrary ones, the combine must still trim a cancelled top.
+    word = w("1 1 1")
+    children = dict(zip(skein3._resolution_step(word), (lo, hi)))
+    memo = skein3._skein_value
+    skein3._skein_value = children.__getitem__
+    try:
+        got = skein3._skein_combine(word)
+    finally:
+        skein3._skein_value = memo
+    assert got.coeffs == (lo + Z * hi).coeffs
 
 
 def test_leaf_values():
@@ -303,6 +373,14 @@ def test_exhaustive_agreement_up_to_length_six():
                 word
             )
             assert via_skein.is_nonneg(), format_word(word)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(LETTERS), min_size=15, max_size=30).map(tuple))
+def test_routes_agree_beyond_the_exhaustive_range(word):
+    via_skein = conway_via_skein(word)
+    assert via_skein == conway_via_burau(to_band_word(word)), format_word(word)
+    assert via_skein.is_nonneg(), format_word(word)
 
 
 # --- serialization -----------------------------------------------------------
