@@ -91,59 +91,44 @@ def _letter_matrix(letter: int) -> BurauMatrix:
     return burau_rep(to_band_word((letter,)))
 
 
-def _record(
-    word: Word, text: str, via_matrix: ZPoly, tails: dict[tuple[int, ...], str]
-) -> str:
-    """The JSON line of word, spelled text, after both checks.
-
-    The line is built by hand in ``json.dumps``'s default layout: text
-    holds only digits and spaces, and the coefficients are ints.  tails
-    maps each value already checked non-negative to the end of its line,
-    so the sign check and the formatting of the coefficients run once per
-    distinct value; the two routes are still compared on every word.
-    """
-    via_skein = conway_via_skein(word)
-    if via_skein != via_matrix:
-        raise ScanViolation(text, f"skein gives {via_skein}, matrix gives {via_matrix}")
-    coeffs = via_skein.coeffs
-    tail = tails.get(coeffs)
-    if tail is None:
-        if not via_skein.is_nonneg():
-            raise ScanViolation(text, f"negative coefficient in {via_skein}")
-        tail = tails[coeffs] = (
-            f'"conway": [{", ".join(map(str, coeffs))}], "nonneg": true, "agree": true}}'
-        )
-    return f'{{"word": "{text}", "len": {len(word)}, {tail}'
-
+#: A parallel scan splits the trie at this depth, into 3^3 = 27 prefixes.
+SPLIT_DEPTH = 3
 
 def _scan_subtree(
-    prefix: Word, max_len: int
-) -> tuple[dict[int, list[str]], set[tuple[int, ...]]]:
-    """Records for prefix and all extensions up to max_len, grouped by length.
+    prefixes: tuple[Word, ...], max_len: int
+) -> tuple[dict[int, list[int]], list[tuple[int, ...]]]:
+    """Value ids of the words that extend prefixes up to max_len, by length.
 
-    Walks the extension trie depth first in letter order, extending each
-    prefix's matrix and its spelling by one letter.  Many words spell the
-    same braid (the 3^L words of length L give 2^(L+1) - 1 braids), and
-    the Burau matrix is faithful on three strands, so each distinct
-    (matrix, length) gets a small int id the first time the walk meets
-    it.  Matrices and their Conway values sit in lists indexed by id, and
-    steps are memoized as (id, letter) -> id: one product per distinct
-    (braid, letter) pair, one Conway normalization per distinct braid,
-    and a matrix is hashed once, when its product is new.  The memos live
-    for this call only, so a task's work does not depend on what ran
-    before it.  Every word's skein value is still computed and compared;
-    the record tails of the distinct values, kept for the same call, are
-    also the set of values the walk met.
+    prefixes are words of one length, in letter order.  The walk visits
+    each prefix's extension trie depth first in letter order, so each
+    length's ids come out in the lexicographic order of their words.  An
+    id indexes the returned table of distinct coefficient tuples.
+
+    Many words spell the same braid (the 3^L words of length L give
+    2^(L+1) - 1 braids), and the Burau matrix is faithful on three
+    strands, so each distinct (matrix, length) gets a small int id the
+    first time the walk meets it.  Matrices, their Conway values and
+    their children sit in lists indexed by braid id: one product per
+    distinct (braid, letter) pair, one Conway normalization per distinct
+    braid, and a matrix is hashed once, when its product is new.  Every
+    word's skein value is still computed and compared exactly with its
+    braid's matrix value; the sign check runs once per distinct value.
+    All memos live for this call only, so a task's work does not depend
+    on what ran before it.  The walk keeps an explicit stack, so no
+    function refers to itself and the memos go as soon as the call returns.
     """
-    buffers: dict[int, list[str]] = {
-        length: [] for length in range(len(prefix), max_len + 1)
+    found: dict[int, list[int]] = {
+        length: [] for length in range(len(prefixes[0]), max_len + 1)
     }
-    tails: dict[tuple[int, ...], str] = {}
+    table: list[tuple[int, ...]] = []
+    value_ids: dict[tuple[int, ...], int] = {}
     ids: dict[tuple[BurauMatrix, int], int] = {}
     matrices: list[BurauMatrix] = []
     values: list[ZPoly] = []
-    steps: dict[tuple[int, int], int] = {}
-    tokens = [format_word((letter,)) for letter in LETTERS]
+    # Per braid id: its value id once a word of it was checked, else -1,
+    # and the ids of its three one-letter extensions once computed.
+    checked: list[int] = []
+    children: list[tuple[int, ...] | None] = []
 
     def braid_id(matrix: BurauMatrix, length: int) -> int:
         # A positive band word's exponent sum is its length.
@@ -151,29 +136,54 @@ def _scan_subtree(
         if braid == len(matrices):
             matrices.append(matrix)
             values.append(conway_from_matrix(matrix, length))
+            checked.append(-1)
+            children.append(None)
         return braid
 
-    def walk(word: Word, text: str, braid: int) -> None:
-        buffers[len(word)].append(_record(word, text, values[braid], tails))
-        if len(word) < max_len:
-            head = text + " " if text else ""
-            for letter in LETTERS:
-                step = (braid, letter)
-                child = steps.get(step)
-                if child is None:
-                    child = steps[step] = braid_id(
-                        matrices[braid] * _letter_matrix(letter), len(word) + 1
+    stack = [
+        (prefix, braid_id(burau_rep(to_band_word(prefix)), len(prefix)))
+        for prefix in reversed(prefixes)
+    ]
+    while stack:
+        word, braid = stack.pop()
+        via_skein = conway_via_skein(word)
+        if via_skein != values[braid]:
+            raise ScanViolation(
+                format_word(word), f"skein gives {via_skein}, matrix gives {values[braid]}"
+            )
+        value = checked[braid]
+        if value < 0:
+            coeffs = via_skein.coeffs
+            value = value_ids.get(coeffs, -1)
+            if value < 0:
+                if not via_skein.is_nonneg():
+                    raise ScanViolation(
+                        format_word(word), f"negative coefficient in {via_skein}"
                     )
-                walk(word + (letter,), head + tokens[letter], child)
+                value = value_ids[coeffs] = len(table)
+                table.append(coeffs)
+            checked[braid] = value
+        length = len(word)
+        found[length].append(value)
+        if length < max_len:
+            step = children[braid]
+            if step is None:
+                matrix = matrices[braid]
+                step = children[braid] = tuple(
+                    braid_id(matrix * _letter_matrix(letter), length + 1)
+                    for letter in LETTERS
+                )
+            # Pushed last letter first, so the first letter pops first.
+            for letter in reversed(LETTERS):
+                stack.append((word + (letter,), step[letter]))
+    return found, table
 
-    root = braid_id(burau_rep(to_band_word(prefix)), len(prefix))
-    walk(prefix, format_word(prefix), root)
-    return buffers, set(tails)
 
-
-def _scan_task(task: tuple[Word, int]) -> tuple[dict[int, list[str]], set[tuple[int, ...]]]:
-    prefix, max_len = task
-    return _scan_subtree(prefix, max_len)
+def _scan_task(
+    task: tuple[tuple[Word, ...], int]
+) -> tuple[dict[int, list[int]], list[tuple[int, ...]]]:
+    prefixes, max_len = task
+    return _scan_subtree(prefixes, max_len)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -187,40 +197,60 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _scan(max_len: int, jobs: int, sink: TextIO, report: TextIO) -> int:
     """Write the records to sink and the summary to report."""
-    # Partition the trie at depth 2 when running in parallel: nine subtree
-    # tasks plus the four short words handled inline.  Merging buffers in
-    # prefix order keeps the byte stream identical for every job count.
-    split = jobs > 1 and max_len >= 2
+    # In parallel, the 13 words shorter than SPLIT_DEPTH are walked here
+    # and the 27 prefixes of length SPLIT_DEPTH are cut into one
+    # contiguous group per worker.  Each worker walks its group once, with
+    # one set of memos, and sends back value ids, not records; the parts
+    # come back in prefix order, so the records below are the same bytes
+    # for every job count.
     try:
-        if split:
-            parts = [_scan_subtree((), 1)]
-            tasks = [((a, b), max_len) for a, b in product(LETTERS, repeat=2)]
-            workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        if jobs > 1 and max_len >= SPLIT_DEPTH:
+            prefixes = list(product(LETTERS, repeat=SPLIT_DEPTH))
+            workers = min(jobs, len(prefixes), os.cpu_count() or 1)
+            cuts = [len(prefixes) * k // workers for k in range(workers + 1)]
+            tasks = [(tuple(prefixes[a:b]), max_len) for a, b in zip(cuts, cuts[1:])]
+            parts = [_scan_subtree(((),), SPLIT_DEPTH - 1)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 parts.extend(pool.map(_scan_task, tasks))
         else:
-            parts = [_scan_subtree((), max_len)]
+            parts = [_scan_subtree(((),), max_len)]
     except ScanViolation as exc:
         print(f"scan aborted at word '{exc.word}': {exc.detail}", file=sys.stderr)
         return 1
 
-    lines: list[str] = []
+    # A record is matched to its word by position alone, so a length with
+    # one id too few or too many would shift every record after it.
     for length in range(max_len + 1):
-        for buffers, _ in parts:
-            lines.extend(buffers.get(length, ()))
+        got = sum(len(found.get(length, ())) for found, _ in parts)
+        if got != 3**length:
+            print(
+                f"scan aborted at length {length}: {got} values for {3**length} words",
+                file=sys.stderr,
+            )
+            return 1
 
-    distinct: set[tuple[int, ...]] = set()
-    for _, seen in parts:
-        distinct |= seen
-    max_degree = max(len(coeffs) - 1 for coeffs in distinct)
-
+    tails = [
+        [
+            f'"conway": [{", ".join(map(str, coeffs))}], "nonneg": true, "agree": true}}\n'
+            for coeffs in table
+        ]
+        for _, table in parts
+    ]
+    tokens = [format_word((letter,)) for letter in LETTERS]
     # One write per record: a reader that leaves mid-scan then raises
     # BrokenPipeError, where one large write can lose its tail silently.
-    for line in lines:
-        sink.write(line + "\n")
-    print(f"words: {len(lines)}", file=report)
+    write = sink.write
+    for length in range(max_len + 1):
+        texts = map(" ".join, product(tokens, repeat=length))
+        for (found, _), part_tails in zip(parts, tails):
+            # ids first: zip stops on them without taking the next text.
+            for value, text in zip(found.get(length, ()), texts):
+                write(f'{{"word": "{text}", "len": {length}, {part_tails[value]}')
+
+    distinct = {coeffs for _, table in parts for coeffs in table}
+    print(f"words: {(3 ** (max_len + 1) - 1) // 2}", file=report)
     print(f"distinct conway polynomials: {len(distinct)}", file=report)
-    print(f"max degree: {max_degree}", file=report)
+    print(f"max degree: {max(len(coeffs) for coeffs in distinct) - 1}", file=report)
     return 0
 
 

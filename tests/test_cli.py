@@ -293,7 +293,7 @@ def test_scan_takes_one_determinant_per_braid(monkeypatch):
     for max_len in range(9):
         for _ in range(2):
             calls = 0
-            cli._scan_subtree((), max_len)
+            cli._scan_subtree(((),), max_len)
             assert calls == 2 ** (max_len + 2) - max_len - 3
 
 
@@ -320,7 +320,7 @@ def test_scan_takes_one_product_per_braid_and_letter(monkeypatch):
     for max_len in range(9):
         for _ in range(2):
             calls = 0
-            cli._scan_subtree((), max_len)
+            cli._scan_subtree(((),), max_len)
             assert calls == 3 * (2 ** (max_len + 1) - max_len - 2)
     assert calls == 1506
 
@@ -428,9 +428,10 @@ def test_scan_deterministic_across_jobs(capsys, tmp_path):
     assert single.read_bytes() == parallel.read_bytes()
 
 
-def test_scan_clamps_jobs_to_its_tasks(capsys, tmp_path, monkeypatch):
-    # The depth-2 partition has nine tasks, so more workers than that
-    # would only be forked to sit idle; so would more workers than CPUs.
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Runs the scan's pool tasks in this process on a machine of 64 CPUs,
+    and gives the list of max_workers the scan asked for."""
     from braidconway import cli
 
     requested = []
@@ -452,6 +453,16 @@ def test_scan_clamps_jobs_to_its_tasks(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    return requested
+
+
+def test_scan_clamps_jobs_to_its_tasks(capsys, tmp_path, monkeypatch, in_process_pool):
+    # The depth-3 partition has 27 prefixes, one task per worker, so more
+    # workers than that would only be forked to sit idle; so would more
+    # workers than CPUs.
+    from braidconway import cli
+
+    requested = in_process_pool
     single = tmp_path / "single.jsonl"
     wide = tmp_path / "wide.jsonl"
     assert run(capsys, "scan", "--max-len", "3", "--out", str(single))[0] == 0
@@ -463,13 +474,125 @@ def test_scan_clamps_jobs_to_its_tasks(capsys, tmp_path, monkeypatch):
         )[0]
         == 0
     )
-    assert requested == [9]
+    assert requested == [27]
     assert single.read_bytes() == wide.read_bytes()
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     assert run(capsys, "scan", "--max-len", "3", "--out", str(wide), "--jobs", "64")[0] == 0
-    assert requested == [9, 4]
+    assert requested == [27, 4]
     assert single.read_bytes() == wide.read_bytes()
+
+
+def test_scan_bytes_are_the_same_for_every_job_count(capsys, tmp_path, in_process_pool):
+    # Covers --max-len below the split depth with --jobs > 1, --max-len
+    # exactly at it, groups of one prefix (27 jobs) and more jobs than
+    # prefixes.
+    for max_len in range(6):
+        outputs = set()
+        for jobs in (1, 2, 3, 5, 27, 64):
+            out_path = tmp_path / f"scan-{max_len}-{jobs}.jsonl"
+            code, out, err = run(
+                capsys,
+                "scan", "--max-len", str(max_len), "--out", str(out_path),
+                "--jobs", str(jobs),
+            )
+            assert (code, err) == (0, "")
+            outputs.add((out_path.read_bytes(), out))
+        assert len(outputs) == 1, max_len
+    assert in_process_pool == [2, 3, 5, 27, 27] * 3
+
+
+def test_parallel_scan_walks_each_group_once(monkeypatch, in_process_pool):
+    # At --jobs 2 the 27 depth-3 prefixes go to two tasks of 13 and 14,
+    # each one walk with one matrix memo.  Braids shared between the two
+    # groups are normalized once in each, so the count lies between one
+    # walk of all words (1013 determinants at length 8) and nine separate
+    # tasks, one per depth-2 prefix (2227).
+    import io
+
+    from braidconway import cli
+    from braidconway.burau import BurauMatrix
+
+    calls = 0
+    det = BurauMatrix.det
+
+    def counted_det(self):
+        nonlocal calls
+        calls += 1
+        return det(self)
+
+    monkeypatch.setattr(BurauMatrix, "det", counted_det)
+    assert cli._scan(8, 2, io.StringIO(), io.StringIO()) == 0
+    assert in_process_pool == [2]
+    assert calls == 1259
+
+
+def test_scan_value_ids_line_up_with_words():
+    # Each length's ids come in the lexicographic order of its words, and
+    # the table maps each id to that word's own value.
+    from itertools import product
+
+    from braidconway import cli
+    from braidconway.skein3 import LETTERS, conway_via_skein
+
+    for max_len in range(7):
+        found, table = cli._scan_subtree(((),), max_len)
+        assert sorted(found) == list(range(max_len + 1))
+        assert len(set(table)) == len(table)
+        for length, ids in found.items():
+            assert [table[value] for value in ids] == [
+                conway_via_skein(w).coeffs for w in product(LETTERS, repeat=length)
+            ]
+
+
+def test_scan_walk_leaves_no_reference_cycle():
+    # The walk's memos go when it returns, not when the cyclic garbage
+    # collector next runs.
+    import gc
+    from itertools import product
+
+    from braidconway import cli
+    from braidconway.skein3 import LETTERS
+
+    gc.collect()
+    gc.disable()
+    try:
+        cli._scan_subtree(((),), 6)
+        cli._scan_subtree(tuple(product(LETTERS, repeat=3))[13:], 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+def test_scan_refuses_a_part_with_the_wrong_number_of_ids(
+    capsys, tmp_path, monkeypatch, in_process_pool, change
+):
+    # Records are matched to words by position, so one id too few or too
+    # many in any part must stop the scan before a record is written.
+    from braidconway import cli
+
+    task = cli._scan_task
+
+    def faulty_task(arg):
+        found, table = task(arg)
+        ids = found[5]
+        if change == "drop":
+            ids.pop()
+        else:
+            ids.append(ids[-1])
+        return found, table
+
+    monkeypatch.setattr(cli, "_scan_task", faulty_task)
+    out_path = tmp_path / "scan.jsonl"
+    code, out, err = run(
+        capsys, "scan", "--max-len", "6", "--out", str(out_path), "--jobs", "2"
+    )
+    assert code == 1
+    assert out == ""
+    assert out_path.read_text() == ""
+    got = 3**5 - 2 if change == "drop" else 3**5 + 2
+    assert err == f"scan aborted at length 5: {got} values for 243 words\n"
 
 
 def test_scan_out_into_missing_directory_exits_2(capsys, tmp_path, monkeypatch):
