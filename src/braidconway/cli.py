@@ -31,7 +31,9 @@ from .burau import BurauMatrix, burau_rep, conway_from_matrix, conway_via_burau
 from .polyring import ZPoly
 from .skein3 import (
     LETTERS,
+    TreeTooLarge,
     Word,
+    check_tree_size,
     conway_via_skein,
     format_word,
     parse_word,
@@ -75,6 +77,7 @@ def _cmd_conway(args: argparse.Namespace) -> int:
 
 def _cmd_tree(args: argparse.Namespace) -> int:
     word = parse_word(args.word)
+    check_tree_size(word)
     tree = resolve(word)
     if args.format == "dot":
         print(tree_to_dot(tree))
@@ -122,6 +125,7 @@ def _scan_subtree(
     }
     table: list[tuple[int, ...]] = []
     value_ids: dict[tuple[int, ...], int] = {}
+    skein_memo: dict[Word, ZPoly] = {}
     ids: dict[tuple[BurauMatrix, int], int] = {}
     matrices: list[BurauMatrix] = []
     values: list[ZPoly] = []
@@ -146,7 +150,7 @@ def _scan_subtree(
     ]
     while stack:
         word, braid = stack.pop()
-        via_skein = conway_via_skein(word)
+        via_skein = conway_via_skein(word, skein_memo)
         if via_skein != values[braid]:
             raise ScanViolation(
                 format_word(word), f"skein gives {via_skein}, matrix gives {values[braid]}"
@@ -354,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ParseError, IndexOutOfRange, NotOrdered, OSError) as exc:
+    except (ParseError, IndexOutOfRange, NotOrdered, TreeTooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

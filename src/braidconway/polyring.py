@@ -18,7 +18,6 @@ Coefficients are Python ints throughout, so nothing overflows or rounds.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import lru_cache
 
 __all__ = [
     "LaurentPoly",
@@ -340,11 +339,13 @@ def fibonacci_poly(n: int) -> ZPoly:
     return _FIB[n]
 
 
-@lru_cache(maxsize=None)
+_Z_IN_S_POWERS: list[LaurentPoly] = [LaurentPoly.term(1)]
+
+
 def _z_in_s_power(d: int) -> LaurentPoly:
-    if d == 0:
-        return LaurentPoly.term(1)
-    return _z_in_s_power(d - 1) * Z_IN_S
+    while len(_Z_IN_S_POWERS) <= d:
+        _Z_IN_S_POWERS.append(_Z_IN_S_POWERS[-1] * Z_IN_S)
+    return _Z_IN_S_POWERS[d]
 
 
 def laurent_to_z(p: LaurentPoly) -> ZPoly:

@@ -34,16 +34,16 @@ is the sum over leaves of z^(number of weight-z edges on the path) times
 the leaf value.  Every step is deterministic, leftmost-first, so the same
 word always produces the same tree.
 
-Values are computed in one place: a recursion from words to values over
-a memo of subword values, which ``conway_via_skein`` returns and every
-tree ``Node`` reads.  ``resolve`` builds the tree's structure only.
+One explicit-stack pass folds a tree from the leaves up, over a memo of
+subword results that its caller owns: ``conway_via_skein`` folds values,
+``resolve`` builds nodes and ``Node.leaf_count`` counts leaves.  Nothing
+recurses, so a word's length sets no depth limit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from functools import lru_cache
 from operator import add
 
 from .braid import BandWord, ParseError
@@ -65,6 +65,9 @@ __all__ = [
     "rewrite_descending",
     "split_square",
     "resolve",
+    "TREE_NODE_LIMIT",
+    "TreeTooLarge",
+    "check_tree_size",
     "leaf_conway",
     "conway_via_skein",
     "tree_to_json",
@@ -247,14 +250,50 @@ def _resolution_step(w: Word) -> tuple[Word, Word]:
     return split_square(w, pos)
 
 
+def _fold(w: Word, memo: dict, make):
+    """Fold w's resolution tree from the leaves up, with an explicit stack.
+
+    A word's result is make(word, kind, erased_result, reduced_result),
+    with kind None for inner words and both results None for leaves; make
+    never returns None.  memo maps proper subwords to results and gains
+    each one it lacks, so equal subtrees fold once; w's own result is
+    returned, not stored.  ``classify_leaf`` runs once for w and once per
+    memo miss.
+    """
+    kind = classify_leaf(w)
+    if kind is not None:
+        return make(w, kind, None, None)
+    # The words above the current one, each waiting for a child's result.
+    stack = []
+    word = w
+    erased, reduced = _resolution_step(w)
+    while True:
+        lo, hi = memo.get(erased), memo.get(reduced)
+        if lo is None or hi is None:
+            child = erased if lo is None else reduced
+            kind = classify_leaf(child)
+            if kind is None:
+                stack.append((word, erased, reduced))
+                word = child
+                erased, reduced = _resolution_step(child)
+            else:
+                memo[child] = make(child, kind, None, None)
+            continue
+        result = make(word, None, lo, hi)
+        if not stack:
+            return result
+        memo[word] = result
+        word, erased, reduced = stack.pop()
+
+
 @dataclasses.dataclass(frozen=True)
 class Node:
     """A resolution-tree node.
 
     Leaves carry their LeafKind; inner nodes carry two children, the left
     reached by the weight-1 edge (square erased) and the right by the
-    weight-z edge (square reduced to one letter).  A node holds no value:
-    ``value`` looks its word up in the memo behind ``conway_via_skein``.
+    weight-z edge (square reduced to one letter).  Equal subwords share
+    one Node.  A node holds no value: ``value`` asks ``conway_via_skein``.
     """
 
     word: Word
@@ -263,27 +302,48 @@ class Node:
     right: "Node | None" = None
 
     def value(self) -> ZPoly:
-        """The skein value of this node's word, read from the memo."""
-        return _skein_value(self.word)
+        """The skein value of this node's word."""
+        return conway_via_skein(self.word)
 
     def leaf_count(self) -> int:
-        if self.leaf is not None:
-            return 1
-        assert self.left is not None and self.right is not None
-        return self.left.leaf_count() + self.right.leaf_count()
+        return _fold(self.word, {}, lambda word, kind, lo, hi: 1 if kind else lo + hi)
 
 
 def resolve(w: Word) -> Node:
     """The full resolution tree of a word: its structure, not its values.
 
-    Recursion depth is bounded by the word length: each child is strictly
-    shorter than its parent.
+    Equal subwords share one Node, so the tree takes one Node per distinct
+    subword, however many leaves it has.
     """
-    leaf = classify_leaf(w)
-    if leaf is not None:
-        return Node(word=w, leaf=leaf)
-    erased, reduced = _resolution_step(w)
-    return Node(word=w, left=resolve(erased), right=resolve(reduced))
+    # make's arguments are Node's fields, in order.
+    return _fold(w, {}, Node)
+
+
+#: The most nodes that the ``tree`` command prints.
+TREE_NODE_LIMIT = 250_000
+
+
+class TreeTooLarge(ValueError):
+    """A word's resolution tree has more than TREE_NODE_LIMIT nodes."""
+
+
+def check_tree_size(w: Word) -> None:
+    """Raise TreeTooLarge when w's tree has more than TREE_NODE_LIMIT nodes.
+
+    A word's distinct subwords never outnumber its tree's nodes, so the
+    count stops once its memo or a subtree passes the limit: a refusal
+    takes at most about TREE_NODE_LIMIT resolution steps.
+    """
+    memo: dict[Word, int] = {}
+
+    def count(word: Word, kind: LeafKind | None, lo: int, hi: int) -> int:
+        if kind is not None:
+            return 1
+        if lo + hi >= TREE_NODE_LIMIT or len(memo) > TREE_NODE_LIMIT:
+            raise TreeTooLarge(f"resolution tree has more than {TREE_NODE_LIMIT} nodes")
+        return 1 + lo + hi
+
+    _fold(w, memo, count)
 
 
 def leaf_conway(leaf: LeafKind, k: int = 0) -> ZPoly:
@@ -310,6 +370,22 @@ def leaf_conway(leaf: LeafKind, k: int = 0) -> ZPoly:
     return 2 * Z * total
 
 
+def _walk(root: Node):
+    """(node, edge, entering) events of a depth-first walk of a tree.
+
+    Nodes are entered in preorder and left after their weight-1 and then
+    weight-z subtrees; edge is "1" or "z", or None on the root.
+    """
+    stack = [(root, None, True)]
+    while stack:
+        node, edge, entering = stack.pop()
+        yield node, edge, entering
+        if entering:
+            stack.append((node, edge, False))
+            if node.leaf is None:
+                stack += [(node.right, "z", True), (node.left, "1", True)]
+
+
 def tree_to_json(root: Node) -> dict:
     """A JSON-ready document for a resolution tree.
 
@@ -318,27 +394,27 @@ def tree_to_json(root: Node) -> dict:
     The top level repeats the input word and ends with the tree's total
     skein value as a coefficient list, so the footer is the last key.
     """
-
-    def node_doc(node: Node, edge: str | None) -> dict:
-        out: dict = {"word": format_word(node.word)}
+    open_docs: list[dict] = []  # entered and not yet left
+    for node, edge, entering in _walk(root):
+        if not entering:
+            doc = open_docs.pop()
+            continue
+        doc = {"word": format_word(node.word)}
         if edge is not None:
-            out["edge"] = edge
+            doc["edge"] = edge
         if node.leaf is not None:
-            out["leaf"] = node.leaf.value
+            doc["leaf"] = node.leaf.value
             if node.leaf is LeafKind.TRIPLE_POWER:
-                out["k"] = len(node.word) // 3
-            out["value"] = list(node.value().coeffs)
+                doc["k"] = len(node.word) // 3
+            doc["value"] = list(node.value().coeffs)
         else:
-            assert node.left is not None and node.right is not None
-            out["children"] = [
-                node_doc(node.left, "1"),
-                node_doc(node.right, "z"),
-            ]
-        return out
-
+            doc["children"] = []
+        if open_docs:
+            open_docs[-1]["children"].append(doc)
+        open_docs.append(doc)
     return {
         "word": format_word(root.word),
-        "tree": node_doc(root, None),
+        "tree": doc,
         "value": list(root.value().coeffs),
     }
 
@@ -347,48 +423,40 @@ def tree_to_dot(root: Node) -> str:
     """The tree as a DOT digraph, nodes numbered in preorder.
 
     Leaves are boxes annotated with their kind and value; the graph label
-    carries the total.
+    carries the total.  An edge is written when its child is left.
     """
     lines = ["digraph resolution {", "  node [fontname=monospace];"]
-    counter = 0
-
-    def label(word: Word) -> str:
-        return format_word(word) if word else "(empty)"
-
-    def walk(node: Node) -> str:
-        nonlocal counter
-        name = f"n{counter}"
-        counter += 1
+    open_names: list[str] = []  # entered and not yet left
+    entered = 0
+    for node, edge, entering in _walk(root):
+        if not entering:
+            name = open_names.pop()
+            if open_names:
+                lines.append(f'  {open_names[-1]} -> {name} [label="{edge}"];')
+            continue
+        name = f"n{entered}"
+        entered += 1
+        label = format_word(node.word) if node.word else "(empty)"
         if node.leaf is not None:
             lines.append(
-                f'  {name} [shape=box label="{label(node.word)}\\n'
+                f'  {name} [shape=box label="{label}\\n'
                 f'{node.leaf.value}: {node.value().render()}"];'
             )
         else:
-            lines.append(f'  {name} [label="{label(node.word)}"];')
-            assert node.left is not None and node.right is not None
-            lines.append(f'  {name} -> {walk(node.left)} [label="1"];')
-            lines.append(f'  {name} -> {walk(node.right)} [label="z"];')
-        return name
-
-    walk(root)
+            lines.append(f'  {name} [label="{label}"];')
+        open_names.append(name)
     lines.append(f'  label="conway: {root.value().render()}";')
     lines.append("}")
     return "\n".join(lines)
 
 
-def _skein_combine(w: Word) -> ZPoly:
-    # The only place where child values are combined.
-    leaf = classify_leaf(w)
-    if leaf is not None:
-        return leaf_conway(leaf, len(w) // 3)
-    erased, reduced = _resolution_step(w)
-    # value(erased) + z * value(reduced), on the coefficient tuples: times
-    # z is a shift by one degree, so lo[0] stands alone, lo[1:] meets hi,
-    # and the longer of the two supplies the tail.  Only when both reach
-    # the same top degree can it cancel, and ZPoly trims just then.
-    lo_value = _skein_value(erased)
-    hi = _skein_value(reduced).coeffs
+def _combine(lo_value: ZPoly, hi_value: ZPoly) -> ZPoly:
+    """lo_value + z * hi_value: an inner word's value from its children's."""
+    # On the coefficient tuples: times z is a shift by one degree, so
+    # lo[0] stands alone, lo[1:] meets hi, and the longer of the two
+    # supplies the tail.  Only when both reach the same top degree can it
+    # cancel, and ZPoly trims just then.
+    hi = hi_value.coeffs
     if not hi:
         return lo_value
     lo = lo_value.coeffs
@@ -399,16 +467,21 @@ def _skein_combine(w: Word) -> ZPoly:
     )
 
 
-#: The memo of subword values.
-_skein_value = lru_cache(maxsize=None)(_skein_combine)
+def _value(word: Word, kind: LeafKind | None, lo: ZPoly, hi: ZPoly) -> ZPoly:
+    return _combine(lo, hi) if kind is None else leaf_conway(kind, len(word) // 3)
 
 
-def conway_via_skein(w: Word) -> ZPoly:
+#: The memo of subword values that conway_via_skein uses by default.
+_MEMO: dict[Word, ZPoly] = {}
+
+
+def conway_via_skein(w: Word, memo: dict[Word, ZPoly] | None = None) -> ZPoly:
     """The Conway polynomial of the closure of w, by resolution.
 
-    Subword values are cached, so sweeping many related words stays
-    cheap; w's own value is not, since a sweep asks for each word once.
-    ``resolve(w).value()`` reads the same cache and computes values the
-    same way, so the two agree by construction.
+    memo maps subwords to their values and gains every proper subword of
+    w's tree that it lacks, so sweeping many related words stays cheap;
+    w's own value is not stored, since a sweep asks for each word once.
+    Without a memo, a module-wide one is used, which lives as long as the
+    process.  ``resolve(w).value()`` reads that one.
     """
-    return _skein_combine(w)
+    return _fold(w, _MEMO if memo is None else memo, _value)

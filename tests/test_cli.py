@@ -242,6 +242,21 @@ def test_tree_rejects_foreign_letters(capsys):
     assert "expected 1, 2 or 13" in err
 
 
+def test_tree_refuses_a_tree_over_the_node_limit(capsys):
+    # "1"*30 has 2 692 537 nodes, and a random 200-letter word has far
+    # more; both are refused before anything is built or printed.
+    import random
+
+    rng = random.Random(200)
+    letters = ["1", "2", "13"]
+    for word in [" ".join(["1"] * 30), " ".join(rng.choices(letters, k=200))]:
+        for fmt in ("json", "dot"):
+            code, out, err = run(capsys, "tree", word, "--format", fmt)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "250000 nodes" in err
+
+
 # --- scan ---------------------------------------------------------------------
 
 def test_scan_short_sweep(capsys):
@@ -297,6 +312,28 @@ def test_scan_takes_one_determinant_per_braid(monkeypatch):
             assert calls == 2 ** (max_len + 2) - max_len - 3
 
 
+def test_scan_skein_memo_lives_for_one_walk(monkeypatch):
+    # Each walk classifies every subword it meets again: no skein memo
+    # outlives its walk.
+    from braidconway import cli, skein3
+
+    calls = 0
+    classify = skein3.classify_leaf
+
+    def counted_classify(word):
+        nonlocal calls
+        calls += 1
+        return classify(word)
+
+    monkeypatch.setattr(skein3, "classify_leaf", counted_classify)
+    counts = []
+    for _ in range(2):
+        calls = 0
+        cli._scan_subtree(((),), 6)
+        counts.append(calls)
+    assert counts[0] == counts[1] > 3**6
+
+
 def test_scan_takes_one_product_per_braid_and_letter(monkeypatch):
     # Each braid of length < L is extended once by each of the three
     # letters: 3 * sum_{k < L} (2^(k+1) - 1) = 3 * (2^(L+1) - L - 2)
@@ -343,7 +380,9 @@ def test_scan_stops_when_the_routes_disagree(capsys, tmp_path, monkeypatch):
     skein = cli.conway_via_skein
     wrong = ZPoly((0, 2, 0, 1))
     monkeypatch.setattr(
-        cli, "conway_via_skein", lambda w: wrong if w == chosen else skein(w)
+        cli,
+        "conway_via_skein",
+        lambda w, memo: wrong if w == chosen else skein(w, memo),
     )
     err = _scan_failure(capsys, tmp_path)
     assert err == (
@@ -364,7 +403,9 @@ def test_scan_stops_at_a_negative_coefficient(capsys, tmp_path, monkeypatch):
     skein, matrix = cli.conway_via_skein, cli.conway_from_matrix
     negative = ZPoly((0, 2, -1))
     monkeypatch.setattr(
-        cli, "conway_via_skein", lambda w: negative if w == chosen else skein(w)
+        cli,
+        "conway_via_skein",
+        lambda w, memo: negative if w == chosen else skein(w, memo),
     )
     monkeypatch.setattr(
         cli,
@@ -391,7 +432,9 @@ def test_scan_compares_every_word_even_for_a_value_already_checked(
     chosen = parse_word("13 13 13 13 13 13")
     skein = cli.conway_via_skein
     monkeypatch.setattr(
-        cli, "conway_via_skein", lambda w: ZPoly((1,)) if w == chosen else skein(w)
+        cli,
+        "conway_via_skein",
+        lambda w, memo: ZPoly((1,)) if w == chosen else skein(w, memo),
     )
     out_path = tmp_path / "scan.jsonl"
     code, out, err = run(capsys, "scan", "--max-len", "6", "--out", str(out_path))

@@ -144,10 +144,10 @@ def test_skein_combine_matches_zpoly_arithmetic():
                 expected = leaf_conway(leaf, length // 3)
             else:
                 erased, reduced = skein3._resolution_step(word)
-                expected = skein3._skein_value(erased) + Z * skein3._skein_value(
-                    reduced
-                )
-            assert skein3._skein_combine(word) == expected, format_word(word)
+                lo, hi = conway_via_skein(erased), conway_via_skein(reduced)
+                expected = lo + Z * hi
+                assert skein3._combine(lo, hi) == expected, format_word(word)
+            assert conway_via_skein(word) == expected, format_word(word)
 
 
 _zpolys = st.lists(st.integers(-3, 3), max_size=6).map(ZPoly)
@@ -160,15 +160,7 @@ _zpolys = st.lists(st.integers(-3, 3), max_size=6).map(ZPoly)
 def test_skein_combine_adds_any_two_child_values(lo, hi):
     # Real children have non-negative values, whose sum never cancels; fed
     # arbitrary ones, the combine must still trim a cancelled top.
-    word = w("1 1 1")
-    children = dict(zip(skein3._resolution_step(word), (lo, hi)))
-    memo = skein3._skein_value
-    skein3._skein_value = children.__getitem__
-    try:
-        got = skein3._skein_combine(word)
-    finally:
-        skein3._skein_value = memo
-    assert got.coeffs == (lo + Z * hi).coeffs
+    assert skein3._combine(lo, hi).coeffs == (lo + Z * hi).coeffs
 
 
 def test_leaf_values():
@@ -328,12 +320,12 @@ def test_tree_accounting():
         assert tree.value() == conway_via_skein(word)
 
 
-def test_conway_via_skein_memoizes_subwords_not_the_word():
-    # A sweep asks for each word once, so only subword values are kept.
+def test_conway_via_skein_memoizes_subwords_not_the_word(monkeypatch):
+    # A sweep asks for each word once, so only subword values are kept,
+    # in the memo that the caller passes.
     word = w("1 2 1 2 13 2 2 1")
-    memo = skein3._skein_value
-    memo.cache_clear()
-    value = conway_via_skein(word)
+    memo = {}
+    value = conway_via_skein(word, memo)
     tree = resolve(word)
 
     def descendants(node):
@@ -342,13 +334,45 @@ def test_conway_via_skein_memoizes_subwords_not_the_word():
                 yield child
                 yield from descendants(child)
 
-    misses = memo.cache_info().misses
-    assert memo.cache_info().currsize > 0
+    assert word not in memo
     for node in descendants(tree):
-        memo(node.word)
-    assert memo.cache_info().misses == misses
+        assert memo[node.word] == node.value()
     assert tree.value() == value
-    assert memo.cache_info().misses == misses + 1
+
+    classified = []
+    classify = skein3.classify_leaf
+    monkeypatch.setattr(
+        skein3, "classify_leaf", lambda v: classified.append(v) or classify(v)
+    )
+    assert conway_via_skein(word, memo) == value
+    assert classified == [word]
+
+
+def test_long_words_resolve_without_a_depth_limit():
+    # The walk keeps an explicit stack, so the word's length, which is
+    # its tree's depth, sets no recursion limit.  sigma_1^1001 sigma_2
+    # stabilizes the (2, 1001) torus knot.
+    from braidconway.braid import parse_artin
+
+    value = conway_via_skein((0,) * 1001 + (1,))
+    assert value == conway_via_burau(parse_artin("1 " * 1001, 2))
+    assert len(value.coeffs) == 1001 and value.is_nonneg()
+
+
+def test_leaf_count_of_a_long_power_is_a_fibonacci_number():
+    # x^n resolves to x^(n-2) and x^(n-1), so its leaves number F(n+1).
+    fib = [0, 1]
+    while len(fib) <= 3001:
+        fib.append(fib[-1] + fib[-2])
+    assert resolve((0,) * 3000).leaf_count() == fib[3001]
+
+
+def test_tree_size_limit_falls_between_lengths_25_and_26():
+    # x^n has 2 F(n+1) - 1 nodes: 242 785 at n = 25, 392 835 at n = 26.
+    assert skein3.TREE_NODE_LIMIT == 250_000
+    skein3.check_tree_size((0,) * 25)
+    with pytest.raises(skein3.TreeTooLarge, match="250000"):
+        skein3.check_tree_size((0,) * 26)
 
 
 def test_delta_relabel_keeps_both_routes():
