@@ -16,8 +16,8 @@ in the test suite.
 Determinants use Bareiss elimination, O(n^3) ring operations.  The scan
 asks for one product per distinct (braid, letter) pair and one
 determinant per distinct braid, not one per word: its walk memoizes both
-on the exact matrix, so the 29 524 words of length <= 9 cost 3039
-products and 2036 determinants.  The rest of the normalization depends
+on the exact matrix, so the 29 524 words of length <= 9 cost 3042
+products (3 of them the letter matrices) and 2036 determinants.  The rest of the normalization depends
 only on (n, e, det(M - Id)), and few such triples occur: those words
 meet 80.  So ``_normalize`` keeps a fixed-size memo of it; a failed
 normalization raises and is not cached.

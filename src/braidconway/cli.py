@@ -21,7 +21,6 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache
 from itertools import product
 from typing import TextIO
 
@@ -89,103 +88,79 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # scan
 
-@lru_cache(maxsize=None)
-def _letter_matrix(letter: int) -> BurauMatrix:
-    return burau_rep(to_band_word((letter,)))
-
-
 #: A parallel scan splits the trie at this depth, into 3^3 = 27 prefixes.
 SPLIT_DEPTH = 3
 
 def _scan_subtree(
     prefixes: tuple[Word, ...], max_len: int
-) -> tuple[dict[int, list[int]], list[tuple[int, ...]]]:
-    """Value ids of the words that extend prefixes up to max_len, by length.
+) -> dict[int, list[tuple[int, ...]]]:
+    """Coefficient tuples of the words that extend prefixes up to max_len, by length.
 
     prefixes are words of one length, in letter order.  The walk visits
     each prefix's extension trie depth first in letter order, so each
-    length's ids come out in the lexicographic order of their words.  An
-    id indexes the returned table of distinct coefficient tuples.
+    length's values come out in the lexicographic order of their words.
 
     Many words spell the same braid (the 3^L words of length L give
     2^(L+1) - 1 braids), and the Burau matrix is faithful on three
-    strands, so each distinct (matrix, length) gets a small int id the
-    first time the walk meets it.  Matrices, their Conway values and
-    their children sit in lists indexed by braid id: one product per
-    distinct (braid, letter) pair, one Conway normalization per distinct
-    braid, and a matrix is hashed once, when its product is new.  Every
-    word's skein value is still computed and compared exactly with its
-    braid's matrix value; the sign check runs once per distinct value.
-    All memos live for this call only, so a task's work does not depend
-    on what ran before it.  The walk keeps an explicit stack, so no
-    function refers to itself and the memos go as soon as the call returns.
+    strands, so each distinct (matrix, length) gets one record, made at
+    the first word that spells it: its matrix, its Conway value and,
+    once computed, the records of its three one-letter extensions.  That
+    is one product per distinct (braid, letter) pair, and one Conway
+    normalization and sign check per distinct braid; a negative value
+    stops the walk at the word whose record it is.  Every word's skein
+    value is still computed and compared exactly with its braid's
+    matrix value.  All memos live for this call only, so a task's work
+    does not depend on what ran before it.  The walk keeps an explicit
+    stack, so no function refers to itself and the memos go as soon as
+    the call returns.
     """
-    found: dict[int, list[int]] = {
+    found: dict[int, list[tuple[int, ...]]] = {
         length: [] for length in range(len(prefixes[0]), max_len + 1)
     }
-    table: list[tuple[int, ...]] = []
-    value_ids: dict[tuple[int, ...], int] = {}
+    letter_matrices = [burau_rep(to_band_word((letter,))) for letter in LETTERS]
     skein_memo: dict[Word, ZPoly] = {}
-    ids: dict[tuple[BurauMatrix, int], int] = {}
-    matrices: list[BurauMatrix] = []
-    values: list[ZPoly] = []
-    # Per braid id: its value id once a word of it was checked, else -1,
-    # and the ids of its three one-letter extensions once computed.
-    checked: list[int] = []
-    children: list[tuple[int, ...] | None] = []
+    braids: dict[tuple[BurauMatrix, int], list] = {}
 
-    def braid_id(matrix: BurauMatrix, length: int) -> int:
+    def braid_record(word: Word, matrix: BurauMatrix) -> list:
         # A positive band word's exponent sum is its length.
-        braid = ids.setdefault((matrix, length), len(matrices))
-        if braid == len(matrices):
-            matrices.append(matrix)
-            values.append(conway_from_matrix(matrix, length))
-            checked.append(-1)
-            children.append(None)
+        key = (matrix, len(word))
+        braid = braids.get(key)
+        if braid is None:
+            value = conway_from_matrix(matrix, len(word))
+            if not value.is_nonneg():
+                raise ScanViolation(format_word(word), f"negative coefficient in {value}")
+            braid = braids[key] = [matrix, value, None]
         return braid
 
+    # Records are made in letter order, so each names its first spelling.
     stack = [
-        (prefix, braid_id(burau_rep(to_band_word(prefix)), len(prefix)))
-        for prefix in reversed(prefixes)
+        (prefix, braid_record(prefix, burau_rep(to_band_word(prefix))))
+        for prefix in prefixes
     ]
+    stack.reverse()
     while stack:
         word, braid = stack.pop()
+        matrix, value, children = braid
         via_skein = conway_via_skein(word, skein_memo)
-        if via_skein != values[braid]:
+        if via_skein != value:
             raise ScanViolation(
-                format_word(word), f"skein gives {via_skein}, matrix gives {values[braid]}"
+                format_word(word), f"skein gives {via_skein}, matrix gives {value}"
             )
-        value = checked[braid]
-        if value < 0:
-            coeffs = via_skein.coeffs
-            value = value_ids.get(coeffs, -1)
-            if value < 0:
-                if not via_skein.is_nonneg():
-                    raise ScanViolation(
-                        format_word(word), f"negative coefficient in {via_skein}"
-                    )
-                value = value_ids[coeffs] = len(table)
-                table.append(coeffs)
-            checked[braid] = value
         length = len(word)
-        found[length].append(value)
+        found[length].append(value.coeffs)
         if length < max_len:
-            step = children[braid]
-            if step is None:
-                matrix = matrices[braid]
-                step = children[braid] = tuple(
-                    braid_id(matrix * _letter_matrix(letter), length + 1)
-                    for letter in LETTERS
-                )
+            if children is None:
+                children = braid[2] = [
+                    braid_record(word + (letter,), matrix * letter_matrix)
+                    for letter, letter_matrix in zip(LETTERS, letter_matrices)
+                ]
             # Pushed last letter first, so the first letter pops first.
             for letter in reversed(LETTERS):
-                stack.append((word + (letter,), step[letter]))
-    return found, table
+                stack.append((word + (letter,), children[letter]))
+    return found
 
 
-def _scan_task(
-    task: tuple[tuple[Word, ...], int]
-) -> tuple[dict[int, list[int]], list[tuple[int, ...]]]:
+def _scan_task(task: tuple[tuple[Word, ...], int]) -> dict[int, list[tuple[int, ...]]]:
     prefixes, max_len = task
     return _scan_subtree(prefixes, max_len)
 
@@ -204,9 +179,9 @@ def _scan(max_len: int, jobs: int, sink: TextIO, report: TextIO) -> int:
     # In parallel, the 13 words shorter than SPLIT_DEPTH are walked here
     # and the 27 prefixes of length SPLIT_DEPTH are cut into one
     # contiguous group per worker.  Each worker walks its group once, with
-    # one set of memos, and sends back value ids, not records; the parts
-    # come back in prefix order, so the records below are the same bytes
-    # for every job count.
+    # one set of memos, and sends back coefficient tuples, not records; the
+    # parts come back in prefix order, so the records below are the same
+    # bytes for every job count.
     try:
         if jobs > 1 and max_len >= SPLIT_DEPTH:
             prefixes = list(product(LETTERS, repeat=SPLIT_DEPTH))
@@ -223,9 +198,9 @@ def _scan(max_len: int, jobs: int, sink: TextIO, report: TextIO) -> int:
         return 1
 
     # A record is matched to its word by position alone, so a length with
-    # one id too few or too many would shift every record after it.
+    # one value too few or too many would shift every record after it.
     for length in range(max_len + 1):
-        got = sum(len(found.get(length, ())) for found, _ in parts)
+        got = sum(len(found.get(length, ())) for found in parts)
         if got != 3**length:
             print(
                 f"scan aborted at length {length}: {got} values for {3**length} words",
@@ -233,25 +208,22 @@ def _scan(max_len: int, jobs: int, sink: TextIO, report: TextIO) -> int:
             )
             return 1
 
-    tails = [
-        [
-            f'"conway": [{", ".join(map(str, coeffs))}], "nonneg": true, "agree": true}}\n'
-            for coeffs in table
-        ]
-        for _, table in parts
-    ]
+    distinct = set().union(*(values for found in parts for values in found.values()))
+    tails = {
+        coeffs: f'"conway": [{", ".join(map(str, coeffs))}], "nonneg": true, "agree": true}}\n'
+        for coeffs in distinct
+    }
     tokens = [format_word((letter,)) for letter in LETTERS]
     # One write per record: a reader that leaves mid-scan then raises
     # BrokenPipeError, where one large write can lose its tail silently.
     write = sink.write
     for length in range(max_len + 1):
         texts = map(" ".join, product(tokens, repeat=length))
-        for (found, _), part_tails in zip(parts, tails):
-            # ids first: zip stops on them without taking the next text.
-            for value, text in zip(found.get(length, ()), texts):
-                write(f'{{"word": "{text}", "len": {length}, {part_tails[value]}')
+        for found in parts:
+            # Values first: zip stops on them without taking the next text.
+            for coeffs, text in zip(found.get(length, ()), texts):
+                write(f'{{"word": "{text}", "len": {length}, {tails[coeffs]}')
 
-    distinct = {coeffs for _, table in parts for coeffs in table}
     print(f"words: {(3 ** (max_len + 1) - 1) // 2}", file=report)
     print(f"distinct conway polynomials: {len(distinct)}", file=report)
     print(f"max degree: {max(len(coeffs) for coeffs in distinct) - 1}", file=report)

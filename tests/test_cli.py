@@ -335,16 +335,14 @@ def test_scan_skein_memo_lives_for_one_walk(monkeypatch):
 
 
 def test_scan_takes_one_product_per_braid_and_letter(monkeypatch):
-    # Each braid of length < L is extended once by each of the three
-    # letters: 3 * sum_{k < L} (2^(k+1) - 1) = 3 * (2^(L+1) - L - 2)
-    # products, once the letter matrices themselves are cached.  The same
-    # count on a second walk shows that no memo outlives its walk.
+    # Each walk builds the three letter matrices, one product each, and
+    # extends each braid of length < L once by each letter:
+    # 3 + 3 * sum_{k < L} (2^(k+1) - 1) = 3 + 3 * (2^(L+1) - L - 2)
+    # products.  The same count on a second walk shows that no memo
+    # outlives its walk.
     from braidconway import cli
     from braidconway.burau import BurauMatrix
-    from braidconway.skein3 import LETTERS
 
-    for letter in LETTERS:
-        cli._letter_matrix(letter)
     calls = 0
     mul = BurauMatrix.__mul__
 
@@ -358,8 +356,8 @@ def test_scan_takes_one_product_per_braid_and_letter(monkeypatch):
         for _ in range(2):
             calls = 0
             cli._scan_subtree(((),), max_len)
-            assert calls == 3 * (2 ** (max_len + 1) - max_len - 2)
-    assert calls == 1506
+            assert calls == 3 + 3 * (2 ** (max_len + 1) - max_len - 2)
+    assert calls == 1509
 
 
 def _scan_failure(capsys, tmp_path):
@@ -444,6 +442,62 @@ def test_scan_compares_every_word_even_for_a_value_already_checked(
     assert err == (
         "scan aborted at word '13 13 13 13 13 13': skein gives 1, matrix gives 0\n"
     )
+
+
+@pytest.mark.parametrize(
+    "braid, max_len, first",
+    [("2 1", 4, "1 13"), ("2 1 2", 3, "1 1 13"), ("2 1 2 1", 6, "1 1 13 1")],
+)
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_names_the_first_spelling_of_a_negative_braid(
+    capsys, tmp_path, monkeypatch, in_process_pool, braid, max_len, first, jobs
+):
+    # Both routes give the same negative value for every spelling of the
+    # braid, so the sign check stops the scan at the spelling that comes
+    # first in walk order, in the main process or in a worker.  At
+    # --jobs 2 the spellings of "2 1 2" are depth-3 prefixes, four of them
+    # in the first worker's group.
+    from braidconway import cli
+    from braidconway.burau import burau_rep
+    from braidconway.polyring import ZPoly
+    from braidconway.skein3 import parse_word, to_band_word
+
+    chosen = parse_word(braid)
+    chosen_key = (burau_rep(to_band_word(chosen)), len(chosen))
+    skein, matrix = cli.conway_via_skein, cli.conway_from_matrix
+    negative = ZPoly((0, 2, -1))
+    monkeypatch.setattr(
+        cli,
+        "conway_via_skein",
+        lambda w, memo: negative
+        if (burau_rep(to_band_word(w)), len(w)) == chosen_key
+        else skein(w, memo),
+    )
+    monkeypatch.setattr(
+        cli,
+        "conway_from_matrix",
+        lambda m, e: negative if (m, e) == chosen_key else matrix(m, e),
+    )
+    out_path = tmp_path / "scan.jsonl"
+    code, out, err = run(
+        capsys,
+        "scan", "--max-len", str(max_len), "--out", str(out_path), "--jobs", jobs,
+    )
+    assert code == 1
+    assert out == ""
+    assert out_path.read_text() == ""
+    assert err == f"scan aborted at word '{first}': negative coefficient in 2z - z^2\n"
+
+
+def test_scan_violation_survives_a_pickle_round_trip():
+    # A worker's violation reaches the main process only through pickle.
+    import pickle
+
+    from braidconway.cli import ScanViolation
+
+    exc = pickle.loads(pickle.dumps(ScanViolation("1 13", "negative coefficient in -z")))
+    assert type(exc) is ScanViolation
+    assert (exc.word, exc.detail) == ("1 13", "negative coefficient in -z")
 
 
 def test_scan_records_match_json_dumps(capsys):
@@ -571,19 +625,18 @@ def test_parallel_scan_walks_each_group_once(monkeypatch, in_process_pool):
 
 
 def test_scan_value_ids_line_up_with_words():
-    # Each length's ids come in the lexicographic order of its words, and
-    # the table maps each id to that word's own value.
+    # Each length's coefficient tuples come in the lexicographic order of
+    # its words, each the word's own value.
     from itertools import product
 
     from braidconway import cli
     from braidconway.skein3 import LETTERS, conway_via_skein
 
     for max_len in range(7):
-        found, table = cli._scan_subtree(((),), max_len)
+        found = cli._scan_subtree(((),), max_len)
         assert sorted(found) == list(range(max_len + 1))
-        assert len(set(table)) == len(table)
-        for length, ids in found.items():
-            assert [table[value] for value in ids] == [
+        for length, values in found.items():
+            assert values == [
                 conway_via_skein(w).coeffs for w in product(LETTERS, repeat=length)
             ]
 
@@ -611,20 +664,20 @@ def test_scan_walk_leaves_no_reference_cycle():
 def test_scan_refuses_a_part_with_the_wrong_number_of_ids(
     capsys, tmp_path, monkeypatch, in_process_pool, change
 ):
-    # Records are matched to words by position, so one id too few or too
-    # many in any part must stop the scan before a record is written.
+    # Records are matched to words by position, so one value too few or
+    # too many in any part must stop the scan before a record is written.
     from braidconway import cli
 
     task = cli._scan_task
 
     def faulty_task(arg):
-        found, table = task(arg)
-        ids = found[5]
+        found = task(arg)
+        values = found[5]
         if change == "drop":
-            ids.pop()
+            values.pop()
         else:
-            ids.append(ids[-1])
-        return found, table
+            values.append(values[-1])
+        return found
 
     monkeypatch.setattr(cli, "_scan_task", faulty_task)
     out_path = tmp_path / "scan.jsonl"
