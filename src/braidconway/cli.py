@@ -109,10 +109,12 @@ def _scan_subtree(
     normalization and sign check per distinct braid; a negative value
     stops the walk at the word whose record it is.  Every word's skein
     value is still computed and compared exactly with its braid's
-    matrix value.  All memos live for this call only, so a task's work
-    does not depend on what ran before it.  The walk keeps an explicit
-    stack, so no function refers to itself and the memos go as soon as
-    the call returns.
+    matrix value.  The walk's memos live for this call only; the skein
+    combine cache that it shares with the rest of the process is bounded
+    and pure, so what ran before a task can save it work but cannot
+    change its results.  The walk keeps an explicit stack, so no
+    function refers to itself and the memos go as soon as the call
+    returns.
     """
     found: dict[int, list[tuple[int, ...]]] = {
         length: [] for length in range(len(prefixes[0]), max_len + 1)
@@ -122,14 +124,13 @@ def _scan_subtree(
     braids: dict[tuple[BurauMatrix, int], list] = {}
 
     def braid_record(word: Word, matrix: BurauMatrix) -> list:
-        # A positive band word's exponent sum is its length.
-        key = (matrix, len(word))
-        braid = braids.get(key)
-        if braid is None:
+        braid = braids.setdefault((matrix, len(word)), [matrix, None, None])
+        if braid[1] is None:
+            # A positive band word's exponent sum is its length.
             value = conway_from_matrix(matrix, len(word))
             if not value.is_nonneg():
                 raise ScanViolation(format_word(word), f"negative coefficient in {value}")
-            braid = braids[key] = [matrix, value, None]
+            braid[1] = value
         return braid
 
     # Records are made in letter order, so each names its first spelling.

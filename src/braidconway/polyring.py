@@ -190,13 +190,14 @@ class ZPoly:
     """An integer polynomial in z: dense ascending coefficients.
 
     Trailing zeros are trimmed on construction, so the zero polynomial is
-    the empty tuple and reports degree -1.
+    the empty tuple and reports degree -1.  The hash is computed on first
+    use and kept, since the skein combine cache is keyed on pairs of these.
 
     >>> ZPoly((1, 0, -1)).render()
     '1 - z^2'
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_hash")
 
     def __init__(self, coeffs: tuple[int, ...] | list[int] = ()):
         # A tuple is kept as it is; it is sliced only to drop trailing zeros.
@@ -205,6 +206,7 @@ class ZPoly:
         while end and cs[end - 1] == 0:
             end -= 1
         self._coeffs = cs[:end] if end < len(cs) else cs
+        self._hash: int | None = None
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -228,7 +230,9 @@ class ZPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        if self._hash is None:
+            self._hash = hash(self._coeffs)
+        return self._hash
 
     def __neg__(self) -> ZPoly:
         return ZPoly([-c for c in self._coeffs])

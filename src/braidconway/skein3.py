@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from functools import lru_cache
 from operator import add
 
 from .braid import BandWord, ParseError
@@ -450,8 +451,21 @@ def tree_to_dot(root: Node) -> str:
     return "\n".join(lines)
 
 
+#: Entries kept by the combine cache.  Inner words see few distinct pairs
+#: of child values: ``scan --max-len 9`` combines 39 330 times on 129
+#: pairs (443 at length 11), a 25-word ``long`` round about 40 000 times
+#: on 1746, and 100 such words meet 4042.
+_COMBINE_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_COMBINE_MEMO_SIZE)
 def _combine(lo_value: ZPoly, hi_value: ZPoly) -> ZPoly:
-    """lo_value + z * hi_value: an inner word's value from its children's."""
+    """lo_value + z * hi_value: an inner word's value from its children's.
+
+    Cached on the two values, which are equal or not by their
+    coefficients alone, so equal pairs share one result object and every
+    memo that holds it holds one copy.
+    """
     # On the coefficient tuples: times z is a shift by one degree, so
     # lo[0] stands alone, lo[1:] meets hi, and the longer of the two
     # supplies the tail.  Only when both reach the same top degree can it
@@ -482,6 +496,8 @@ def conway_via_skein(w: Word, memo: dict[Word, ZPoly] | None = None) -> ZPoly:
     w's tree that it lacks, so sweeping many related words stays cheap;
     w's own value is not stored, since a sweep asks for each word once.
     Without a memo, a module-wide one is used, which lives as long as the
-    process.  ``resolve(w).value()`` reads that one.
+    process.  ``resolve(w).value()`` reads that one.  The value returned
+    may be one object shared with other words' values, as ZPoly is
+    immutable.
     """
     return _fold(w, _MEMO if memo is None else memo, _value)

@@ -94,6 +94,68 @@ def test_generator_identity_check_catches_a_wrong_inverse(monkeypatch):
         burau_generator.cache_clear()
 
 
+def test_letter_caches_are_bounded():
+    from braidconway import burau
+
+    for cached in (burau_generator, burau._band_letter_matrix):
+        assert cached.cache_info().maxsize is not None
+
+
+def _dense_product(a, b):
+    """a * b with every entry summed from its products, no column reused."""
+    size = a.size
+    return BurauMatrix(
+        a.n,
+        tuple(
+            tuple(
+                sum((a.entries[r][k] * b.entries[k][c] for k in range(size)), ZERO)
+                for c in range(size)
+            )
+            for r in range(size)
+        ),
+    )
+
+
+def _dense_rep(word):
+    m = BurauMatrix.identity(word.n)
+    for i, s in word.letters:
+        m = _dense_product(m, burau_generator(i, word.n, s))
+    return m
+
+
+def test_products_equal_dense_products():
+    # The right factors run from the identity through single letters,
+    # which move one column, to words that move them all.  Band letters
+    # such as 1:4 also have columns that keep the identity's 1 on the
+    # diagonal but not its zeros around it.
+    from braidconway.braid import BandWord
+
+    rng = random.Random(5147)
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        left = _dense_rep(_random_word(rng, n, 6))
+        band = []
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randint(1, n - 1)
+            band.append((i, rng.randint(i + 1, n), rng.choice((1, -1))))
+        for word in (_random_word(rng, n, 3), BandWord(n, tuple(band)).to_artin()):
+            right = _dense_rep(word)
+            assert left * right == _dense_product(left, right)
+            assert burau_rep(word) == right
+
+
+def test_matrix_hashes_its_entries_once(monkeypatch):
+    m = burau_rep(parse_artin("1 -2 3 2", 4))
+    calls = []
+    entry_hash = LaurentPoly.__hash__
+    monkeypatch.setattr(
+        LaurentPoly, "__hash__", lambda self: calls.append(1) or entry_hash(self)
+    )
+    table = {m: "m"}
+    assert table[m] == "m"
+    assert len(calls) == 9
+
+
 def test_braid_relations():
     for n in range(3, 7):
         for i in range(1, n - 1):

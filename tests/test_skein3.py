@@ -156,11 +156,23 @@ _zpolys = st.lists(st.integers(-3, 3), max_size=6).map(ZPoly)
 @example(ZPoly((1, 1)), ZPoly((-1,)))  # the top cancels: 1
 @example(ZPoly((0, 2, 1)), ZPoly((-2, -1)))  # everything cancels: 0
 @example(ZPoly((4,)), ZPoly((0, 0, 3)))
+@example(ZPoly(), ZPoly((2, 1)))
+@example(ZPoly((2, 1)), ZPoly())
+@example(ZPoly(), ZPoly())
 @given(_zpolys, _zpolys)
 def test_skein_combine_adds_any_two_child_values(lo, hi):
     # Real children have non-negative values, whose sum never cancels; fed
-    # arbitrary ones, the combine must still trim a cancelled top.
-    assert skein3._combine(lo, hi).coeffs == (lo + Z * hi).coeffs
+    # arbitrary ones, the combine must still trim a cancelled top.  The
+    # second call, on equal but distinct values, is answered by the cache.
+    expected = (lo + Z * hi).coeffs
+    assert skein3._combine(lo, hi).coeffs == expected
+    assert skein3._combine(ZPoly(lo.coeffs), ZPoly(hi.coeffs)).coeffs == expected
+
+
+def test_skein_combine_shares_one_bounded_cache():
+    first = skein3._combine(ZPoly((1, 2)), ZPoly((0, 3)))
+    assert skein3._combine(ZPoly((1, 2)), ZPoly((0, 3))) is first
+    assert skein3._combine.cache_info().maxsize is not None
 
 
 def test_leaf_values():
