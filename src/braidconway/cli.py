@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 a check failed or the reader closed stdout early,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -255,7 +256,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The command line parser and its verify subparser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="braidconway",
         description="Conway polynomials of braid closures, exactly.",
@@ -299,20 +302,22 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="run the built-in fixed and randomized checks"
     )
-    # argparse runs type=int on a string default too, so a malformed
-    # environment value is a usage error (exit 2) like a malformed flag.
+    # main sets the default from the environment at every call.
     verify.add_argument(
-        "--seed", type=int, default=os.environ.get(SEED_ENV_VAR, DEFAULT_SEED),
+        "--seed", type=int,
         help=f"randomization seed (default {DEFAULT_SEED}, "
         f"or the {SEED_ENV_VAR} environment variable)"
     )
     verify.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, verify
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, verify = _build_parsers()
+    # argparse runs type=int on a string default too, so a malformed
+    # environment value is a usage error (exit 2) like a malformed flag.
+    verify.set_defaults(seed=os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
     args = parser.parse_args(argv)
     if args.command == "scan":
         if args.max_len < 0:

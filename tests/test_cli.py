@@ -733,10 +733,15 @@ def test_verify_seed_flag_is_echoed(capsys):
 
 
 def test_verify_seed_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("BRAIDCONWAY_SEED", "97")
+    # The parser is built once per process; the variable is read at every call.
+    for seed in ("97", "98"):
+        monkeypatch.setenv("BRAIDCONWAY_SEED", seed)
+        code, out, err = run(capsys, "verify")
+        assert code == 0
+        assert out.startswith(f"seed: {seed}\n")
+    monkeypatch.delenv("BRAIDCONWAY_SEED")
     code, out, err = run(capsys, "verify")
-    assert code == 0
-    assert out.startswith("seed: 97\n")
+    assert out.startswith("seed: 1234567\n")
 
 
 def test_verify_rejects_a_malformed_seed_env_var(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 """The two polynomial domains and the substitution that links them."""
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from braidconway.polyring import (
@@ -21,6 +21,20 @@ laurents = st.dictionaries(
     st.integers(-6, 6), st.integers(-9, 9), max_size=6
 ).map(LaurentPoly)
 zpolys = st.lists(st.integers(-9, 9), max_size=8).map(ZPoly)
+
+#: Magnitudes at the edges of the packed form: a digit of width 64 holds
+#: |c| < 2^63, and each further 64 bits of width hold 64 more bits.
+EDGES = (2**62, 2**63 - 1, 2**63, 2**64, 2**130)
+edge_ints = st.one_of(
+    st.integers(-9, 9),
+    st.tuples(st.sampled_from(EDGES), st.integers(-2, 2), st.sampled_from((1, -1))).map(
+        lambda t: (t[0] + t[1]) * t[2]
+    ),
+)
+#: Coefficient maps whose exponents span at most 40.
+edge_dicts = st.integers(-20, 20).flatmap(
+    lambda lo: st.dictionaries(st.integers(lo, lo + 40), edge_ints, max_size=8)
+)
 
 
 # --- LaurentPoly basics ----------------------------------------------------
@@ -71,6 +85,114 @@ def test_laurent_multiplicative_identity(a):
     assert a * LaurentPoly.term(1) == a
     assert a * 1 == a
     assert a * 0 == LaurentPoly()
+
+
+# --- packed arithmetic against a dict reference ------------------------------
+
+def ref_clean(p):
+    return {e: c for e, c in p.items() if c}
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_div(p, d):
+    """The exact quotient of p by nonzero d, or None when there is none."""
+    p, d = ref_clean(p), ref_clean(d)
+    if not p:
+        return {}
+    d_lo, d_hi = min(d), max(d)
+    rem, quot = dict(p), {}
+    while rem:
+        lo = min(rem)
+        q, r = divmod(rem[lo], d[d_lo])
+        if r or max(rem) - lo < d_hi - d_lo:
+            return None
+        quot[lo - d_lo] = q
+        rem = ref_add(rem, ref_mul({lo - d_lo: q}, d), -1)
+    return quot
+
+
+def same(got, want):
+    """got is the packed value of the coefficient map want, in every view."""
+    built = LaurentPoly(want)
+    assert got == built and hash(got) == hash(built)
+    assert got.items() == sorted(want.items())
+    if want:
+        assert (got.min_exp, got.max_exp) == (min(want), max(want))
+        for e in range(min(want) - 2, max(want) + 3):
+            assert got[e] == want.get(e, 0)
+    else:
+        assert not got and got[0] == 0
+
+
+@given(edge_dicts, edge_dicts, edge_ints)
+@example({0: 1, 1: 1}, {0: 1}, 2)  # the lowest terms cancel
+@example({0: 2**62, 1: 5}, {0: 2**62 + 1, 3: -1}, 2**63)
+@example({0: 2**40, 1: 2**40}, {0: 2**22, 1: 2**22}, 1)  # a product term is 2^63
+def test_packed_arithmetic_matches_a_dict_reference(a, b, k):
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    same(pa, ref_clean(a))
+    same(pa + pb, ref_add(a, b))
+    same(pa - pb, ref_add(a, b, -1))
+    same(-pa, ref_mul(a, {0: -1}))
+    same(pa * k, ref_mul(a, {0: k}))
+    same(k * pa, ref_mul(a, {0: k}))
+    same(pa * pb, ref_mul(a, b))
+    same(pa * pb - pb * pa, {})
+
+
+@given(st.lists(st.tuples(edge_dicts, edge_dicts), max_size=4))
+@example([({0: 2**62}, {0: 1}), ({0: 2**62}, {0: 1})])  # only the sum is wide
+@example([({0: 1, 1: 1}, {0: 1}), ({0: -1}, {0: 1})])  # the lowest terms cancel
+def test_packed_dot_matches_a_dict_reference(pairs):
+    want = {}
+    for a, b in pairs:
+        want = ref_add(want, ref_mul(a, b))
+    got = LaurentPoly.dot(
+        (LaurentPoly(a) for a, _ in pairs), (LaurentPoly(b) for _, b in pairs)
+    )
+    same(got, want)
+
+
+@given(edge_dicts, edge_dicts, edge_dicts)
+def test_packed_div_exact_matches_a_dict_reference(a, b, c):
+    assume(ref_clean(b))
+    for num in (a, ref_mul(a, b), ref_add(ref_mul(a, b), c)):
+        want = ref_div(num, b)
+        if want is None:
+            with pytest.raises(NotDivisible):
+                LaurentPoly(num).div_exact(LaurentPoly(b))
+        else:
+            same(LaurentPoly(num).div_exact(LaurentPoly(b)), want)
+
+
+def test_values_back_from_a_wide_intermediate_are_canonical():
+    # Equal values have one packed form, however they were reached: a
+    # product too wide for 64-bit digits, cancelled back to small
+    # coefficients, equals and hashes as the value built from a dict.
+    big = LaurentPoly({-3: 2**100, 5: -(2**90) + 7})
+    other = LaurentPoly({0: 3, 2: -(2**70)})
+    p = LaurentPoly({-1: 5, 4: -2})
+    for got in ((big * other - big * other) + p, (big * other + p) - big * other):
+        assert got == p and hash(got) == hash(p)
+        assert got.items() == [(-1, 5), (4, -2)]
+    wide = LaurentPoly.term(2**70, 1)
+    got = wide - (wide - LaurentPoly.term(1))
+    assert got == LaurentPoly({0: 1}) and hash(got) == hash(LaurentPoly({0: 1}))
+    assert got == LaurentPoly.term(1)
 
 
 # --- exact division --------------------------------------------------------
