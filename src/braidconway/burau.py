@@ -17,10 +17,10 @@ Determinants use Bareiss elimination, O(n^3) ring operations.  The scan
 asks for one product per distinct (braid, letter) pair and one
 determinant per distinct braid, not one per word: its walk memoizes both
 on the exact matrix, so the 29 524 words of length <= 9 cost 3042
-products (3 of them the letter matrices) and 2036 determinants.  The rest of the normalization depends
-only on (n, e, det(M - Id)), and few such triples occur: those words
-meet 80.  So ``_normalize`` keeps a fixed-size memo of it; a failed
-normalization raises and is not cached.
+products (3 of them the letter matrices) and 2036 determinants.  The
+rest of the normalization depends only on (n, e, det(M - Id)), and few
+such triples occur: those words meet 80.  So ``_normalize`` keeps a
+fixed-size memo of it; a failed normalization raises and is not cached.
 """
 
 from __future__ import annotations
@@ -199,15 +199,15 @@ def burau_generator(i: int, n: int, sign: int = 1) -> BurauMatrix:
     Both signs are the identity outside column i.  For sigma_i that column
     holds -s^2 on the diagonal, flanked by s^2 above and 1 below where
     those rows exist; for sigma_i^-1 it holds -s^-2, flanked by 1 above and
-    s^-2 below.  The two are checked to multiply to the identity before
-    the result is cached.
+    s^-2 below.  The two are checked to multiply to the identity, a
+    product that moves no column, before the result is cached.
     """
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"generator index {i} out of range on {n} strands")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     pair = {s: _generator_matrix(i, n, s) for s in (1, -1)}
-    if pair[1] * pair[-1] != BurauMatrix.identity(n):
+    if (pair[1] * pair[-1])._moved_columns:
         raise InternalInconsistency(
             f"inverse of generator {i} on {n} strands failed its identity check"
         )

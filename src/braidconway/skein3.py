@@ -31,8 +31,9 @@ on which neither move fires are the leaves:
 
 Each leaf has a known Conway polynomial, and the value of the whole word
 is the sum over leaves of z^(number of weight-z edges on the path) times
-the leaf value.  Every step is deterministic, leftmost-first, so the same
-word always produces the same tree.
+the leaf value.  One function, ``_resolution_step``, makes the move at
+every node, deterministically and leftmost-first, so the same word always
+produces the same tree.
 
 One explicit-stack pass folds a tree from the leaves up, over a memo of
 subword results that its caller owns: ``conway_via_skein`` folds values,
@@ -56,15 +57,10 @@ __all__ = [
     "LeafKind",
     "Node",
     "Unresolvable",
-    "NoSquare",
-    "NotDescending",
     "parse_word",
     "format_word",
     "to_band_word",
     "classify_leaf",
-    "find_square",
-    "rewrite_descending",
-    "split_square",
     "resolve",
     "TREE_NODE_LIMIT",
     "TreeTooLarge",
@@ -89,14 +85,6 @@ _BY_TOKEN = {token: letter for letter, token in _TOKENS.items()}
 
 class Unresolvable(RuntimeError):
     """No leaf, no square, no descending pair: impossible for real words."""
-
-
-class NoSquare(ValueError):
-    """split_square was pointed at a position that is not a square."""
-
-
-class NotDescending(ValueError):
-    """rewrite_descending was pointed at a pair that does not descend."""
 
 
 def parse_word(text: str) -> Word:
@@ -169,86 +157,36 @@ def classify_leaf(w: Word) -> LeafKind | None:
     return None
 
 
-def find_square(w: Word) -> int | None:
-    """Smallest cyclic index t with w[t] == w[t+1], if any.
-
-    Indices run 0 <= t < len(w), so the wraparound pair comes last.  Words
-    shorter than two letters have no pair of positions to compare.
-    """
-    length = len(w)
-    if length < 2:
-        return None
-    for t in range(length):
-        if w[t] == w[(t + 1) % length]:
-            return t
-    return None
-
-
-def rewrite_descending(w: Word, pos: int) -> Word:
-    """Respell the descending cyclic pair at pos to end with the next letter.
-
-    The pair (w[pos], w[pos+1]) is one spelling of the two-letter relation
-    element; the spelling ending in x is ((x + 1) % 3, x).  Choosing x to
-    be the letter at pos+2 plants a square at (pos+1, pos+2).  Positions
-    are cyclic and the word keeps its length.
-    """
-    length = len(w)
-    if length < 3:
-        raise NotDescending(f"need at least 3 letters, got {length}")
-    a, b = w[pos], w[(pos + 1) % length]
-    if (b + 1) % 3 != a:
-        raise NotDescending(
-            f"pair at {pos} ({_TOKENS[a]} {_TOKENS[b]}) does not descend"
-        )
-    nxt = w[(pos + 2) % length]
-    out = list(w)
-    out[pos] = (nxt + 1) % 3
-    out[(pos + 1) % length] = nxt
-    return tuple(out)
-
-
-def split_square(w: Word, pos: int) -> tuple[Word, Word]:
-    """Resolve the square at cyclic position pos.
-
-    Returns (erased, reduced): the word with both square letters removed,
-    and the word with one removed.  A wrapping square is first brought
-    inside by rotating the word, which conjugates the closure and changes
-    neither child's value.
-    """
-    length = len(w)
-    if pos < 0 or pos >= length:
-        raise NoSquare(f"position {pos} out of range for length {length}")
-    if w[pos] != w[(pos + 1) % length]:
-        raise NoSquare(f"no square at position {pos}")
-    if pos + 1 == length:
-        w = w[pos:] + w[:pos]
-        pos = 0
-    head, tail = w[:pos], w[pos + 2 :]
-    return head + tail, head + w[pos : pos + 1] + tail
-
-
-def _leftmost_descending(w: Word) -> int | None:
-    length = len(w)
-    for t in range(length):
-        if (w[(t + 1) % length] + 1) % 3 == w[t]:
-            return t
-    return None
-
-
 def _resolution_step(w: Word) -> tuple[Word, Word]:
-    """Children of a non-leaf word under the deterministic strategy."""
-    pos = find_square(w)
-    if pos is None:
-        dpos = _leftmost_descending(w)
-        if dpos is None:
+    """The children of a non-leaf word under one skein move.
+
+    The move splits the leftmost cyclic square into (erased, reduced): the
+    word without both of its letters, and with one.  Without a square, it
+    first respells the leftmost descending cyclic pair as ((x + 1) % 3, x),
+    x the letter after the pair, which plants a square one step to the
+    right.  A pair or a square that wraps around the end is first rotated
+    to the front, which conjugates the closure.  The letter cyclically
+    after w[pos] is w[pos + 1 - length], a negative index but for the last
+    position.
+    """
+    length = len(w)
+    for pos in range(length):
+        if w[pos] == w[pos + 1 - length]:
+            break
+    else:
+        for pos in range(length):
+            if (w[pos + 1 - length] + 1) % 3 == w[pos]:
+                break
+        else:
             raise Unresolvable(f"no move applies to {format_word(w)!r}")
-        if dpos == len(w) - 1:
-            # Wraparound pair: rotate it to the front first (conjugation).
-            w = w[dpos:] + w[:dpos]
-            dpos = 0
-        w = rewrite_descending(w, dpos)
-        pos = dpos + 1
-    return split_square(w, pos)
+        if pos == length - 1:
+            w, pos = w[pos:] + w[:pos], 0
+        nxt = w[(pos + 2) % length]
+        w = w[:pos] + ((nxt + 1) % 3, nxt) + w[pos + 2 :]
+        pos += 1
+    if pos == length - 1:
+        w, pos = w[pos:] + w[:pos], 0
+    return w[:pos] + w[pos + 2 :], w[: pos + 1] + w[pos + 2 :]
 
 
 def _fold(w: Word, memo: dict, make):

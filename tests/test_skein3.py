@@ -1,5 +1,6 @@
 """The resolution-tree engine on positive three-strand band words."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -9,22 +10,17 @@ from hypothesis import strategies as st
 
 from braidconway import skein3
 from braidconway.braid import ParseError
-from braidconway.burau import burau_rep, conway_via_burau
+from braidconway.burau import conway_via_burau
 from braidconway.polyring import Z, ZPoly
 from braidconway.skein3 import (
     LETTERS,
     LeafKind,
-    NoSquare,
-    NotDescending,
     classify_leaf,
     conway_via_skein,
-    find_square,
     format_word,
     leaf_conway,
     parse_word,
     resolve,
-    rewrite_descending,
-    split_square,
     to_band_word,
     tree_to_dot,
     tree_to_json,
@@ -197,94 +193,88 @@ def test_triple_power_needs_positive_k():
         leaf_conway(LeafKind.TRIPLE_POWER, 0)
 
 
-# --- squares -----------------------------------------------------------------
+# --- the resolution step ------------------------------------------------------
+
+def step(text):
+    erased, reduced = skein3._resolution_step(w(text))
+    return format_word(erased), format_word(reduced)
+
 
 def test_find_square_examples():
-    assert find_square(w("1 1 2")) == 0
-    assert find_square(w("2 1 1")) == 1
-    assert find_square(w("2 1 2")) == 2  # wraparound pair
-    assert find_square(w("1 2")) is None
-    assert find_square(w("1")) is None
-    assert find_square(w("")) is None
+    # The leftmost cyclic square is split, before any descending pair.
+    assert step("1 1 2") == ("2", "1 2")
+    assert step("2 1 1") == ("2", "2 1")
+    assert step("1 2 2 13 13") == ("1 13 13", "1 2 13 13")
+    assert step("2 1 13 13") == ("2 1", "2 1 13")
 
 
 def test_split_square_interior():
-    erased, reduced = split_square(w("1 1"), 0)
-    assert erased == ()
-    assert reduced == w("1")
-    erased, reduced = split_square(w("13 2 2 1"), 1)
-    assert erased == w("13 1")
-    assert reduced == w("13 2 1")
+    assert step("1 1") == ("", "1")
+    assert step("13 2 2 1") == ("13 1", "13 2 1")
 
 
 def test_split_square_wraparound_rotates_first():
-    erased, reduced = split_square(w("2 1 2"), 2)
-    assert erased == w("1")
-    assert reduced == w("2 1")
+    # The square (w[2], w[0]) is rotated to the front, then split.
+    assert step("2 1 2") == ("1", "2 1")
 
-
-def test_split_square_rejects_bad_positions():
-    with pytest.raises(NoSquare):
-        split_square(w("1 2 13"), 0)
-    with pytest.raises(NoSquare):
-        split_square(w("1 1"), 5)
-
-
-# --- descending pairs ----------------------------------------------------------
 
 def test_rewrite_keeps_spelling_that_already_fits():
-    assert rewrite_descending(w("2 1 1"), 0) == w("2 1 1")
+    # The descending pair "2 1" already ends in the letter after it, so
+    # the word is split as spelled.
+    assert step("2 1 1") == ("2", "2 1")
 
 
 def test_rewrite_respells_toward_next_letter():
-    assert rewrite_descending(w("2 1 2"), 0) == w("13 2 2")
-    assert rewrite_descending(w("2 1 13"), 0) == w("1 13 13")
+    # "2 1 13" respells to "1 13 13", whose square splits.
+    assert step("2 1 13") == ("1", "1 13")
+    # In "1 2 13 2" the leftmost descending pair, "13 2", respells to
+    # "2 1"; the square "1 1" that it plants wraps, so it is rotated to
+    # the front as "1 1 2 2" and split.
+    assert step("1 2 13 2") == ("2 2", "1 2 2")
 
 
 def test_rewrite_wraparound_pair():
-    # The descending pair (w[2], w[0]) is respelled in place around the end.
-    assert rewrite_descending(w("1 13 2"), 2) == w("13 13 1")
+    # Only the wraparound pair (2, 1) descends: it is rotated to the front
+    # as "2 1 2 13 1", respelled to "13 2 2 13 1", and split.
+    assert step("1 2 13 1 2") == ("13 13 1", "13 2 13 1")
 
 
-def test_rewrite_rejects_non_descending():
-    with pytest.raises(NotDescending):
-        rewrite_descending(w("1 2 1"), 0)
-    with pytest.raises(NotDescending):
-        rewrite_descending(w("1 1"), 0)
+def test_step_obeys_the_skein_relation_on_the_matrix_route():
+    # Every move, respelling and rotation included, must keep
+    # value(w) = value(erased) + z * value(reduced) by the other route.
+    def burau(word):
+        return conway_via_burau(to_band_word(word))
 
-
-def test_rewrite_preserves_matrix_on_interior_pairs():
-    rng = random.Random(3121)
-    checked = 0
-    while checked < 60:
-        word = _random_word(rng, 8)
-        length = len(word)
-        if length < 3:
-            continue
-        for t in range(length - 1):
-            if _successor(word[(t + 1) % length]) == word[t]:
-                rewritten = rewrite_descending(word, t)
-                assert burau_rep(to_band_word(rewritten)) == burau_rep(
-                    to_band_word(word)
+    for length in range(8):
+        for word in product(LETTERS, repeat=length):
+            if classify_leaf(word) is None:
+                erased, reduced = skein3._resolution_step(word)
+                assert burau(word) == burau(erased) + Z * burau(reduced), format_word(
+                    word
                 )
-                checked += 1
 
 
-def test_rewrite_preserves_closure_on_wraparound_pairs():
-    rng = random.Random(644)
-    checked = 0
-    while checked < 25:
-        word = _random_word(rng, 8)
-        length = len(word)
-        if length < 3:
-            continue
-        t = length - 1
-        if _successor(word[0]) == word[t]:
-            rewritten = rewrite_descending(word, t)
-            assert conway_via_burau(to_band_word(rewritten)) == conway_via_burau(
-                to_band_word(word)
-            )
-            checked += 1
+def test_step_choices_are_pinned():
+    # The exact children of every non-leaf word of length <= 8: the tree's
+    # shape, and so the `tree` output, depends on them, not only its value.
+    digest = hashlib.sha256()
+    count = 0
+    for length in range(9):
+        for word in product(LETTERS, repeat=length):
+            if classify_leaf(word) is None:
+                erased, reduced = skein3._resolution_step(word)
+                digest.update(f"{word} {erased} {reduced}\n".encode())
+                count += 1
+    assert count == 9825
+    assert digest.hexdigest() == (
+        "a21407e890c2d6778fafa65febc7e17e36acbe35d3b58a86622a188f355bdf19"
+    )
+
+
+def test_an_ascending_cycle_offers_no_move():
+    # A leaf, never resolved by the fold; asked anyway, the step refuses.
+    with pytest.raises(skein3.Unresolvable):
+        skein3._resolution_step(w("1 2 13"))
 
 
 # --- whole trees ---------------------------------------------------------------
