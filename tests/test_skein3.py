@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from braidconway import skein3
 from braidconway.braid import ParseError
-from braidconway.burau import conway_via_burau
+from braidconway.burau import burau_rep, conway_via_burau
 from braidconway.polyring import Z, ZPoly
 from braidconway.skein3 import (
     LETTERS,
@@ -237,6 +237,91 @@ def test_rewrite_wraparound_pair():
     # Only the wraparound pair (2, 1) descends: it is rotated to the front
     # as "2 1 2 13 1", respelled to "13 2 2 13 1", and split.
     assert step("1 2 13 1 2") == ("13 13 1", "13 2 13 1")
+
+
+def _split(word, pos):
+    # The children of the square (word[pos], word[pos + 1]).
+    return word[:pos] + word[pos + 2 :], word[: pos + 1] + word[pos + 2 :]
+
+
+def _respell(word, t):
+    # The descending pair (word[t], word[t + 1]) as ((x + 1) % 3, x), x the
+    # letter after the pair: one letter of the braid, spelled another way.
+    x = word[(t + 2) % len(word)]
+    return word[:t] + (_successor(x), x) + word[t + 2 :]
+
+
+def _square_free_words(length):
+    # Every word of the given length with no cyclic square.
+    for start in LETTERS:
+        for steps in product((1, 2), repeat=length - 1):
+            word = [start]
+            for s in steps:
+                word.append((word[-1] + s) % 3)
+            if word[-1] != word[0]:
+                yield tuple(word)
+
+
+def _leftmost_descending(word):
+    length = len(word)
+    return next(
+        (t for t in range(length) if _successor(word[(t + 1) % length]) == word[t]),
+        None,
+    )
+
+
+def test_rewrite_preserves_matrix_on_interior_pairs():
+    # Without a square, the step respells the leftmost descending pair in
+    # place and splits the square it plants; the respelling keeps the matrix.
+    rng = random.Random(3121)
+    checked = 0
+    while checked < 60:
+        length = rng.randint(3, 14)
+        word = rng.choice(list(_square_free_words(length)))
+        t = _leftmost_descending(word)
+        if t is None or t > length - 3:
+            continue
+        respelled = _respell(word, t)
+        assert burau_rep(to_band_word(respelled)) == burau_rep(to_band_word(word))
+        assert skein3._resolution_step(word) == _split(respelled, t + 1)
+        checked += 1
+
+
+def test_rewrite_preserves_closure_on_wraparound_pairs():
+    # A move that wraps around the end is rotated to the front first, which
+    # conjugates the braid: the matrix changes, the closure does not.
+    def conway(word):
+        return conway_via_burau(to_band_word(word))
+
+    def rotate(word):
+        return word[-1:] + word[:-1]
+
+    checked = {"square": 0, "pair": 0, "planted": 0}
+    for length in range(3, 12):
+        # The only square wraps: (w[-1], w[0]).
+        for inner in _square_free_words(length - 1):
+            word = inner + (inner[0],)
+            rotated = rotate(word)
+            assert conway(rotated) == conway(word)
+            assert skein3._resolution_step(word) == _split(rotated, 0)
+            checked["square"] += 1
+        for word in _square_free_words(length):
+            t = _leftmost_descending(word)
+            if t == length - 1:
+                # The only descending pair wraps: rotate, then respell.
+                moved = _respell(rotate(word), 0)
+                pos = 1
+                checked["pair"] += 1
+            elif t == length - 2:
+                # The respelling plants the square (w[-1], w[0]).
+                moved = rotate(_respell(word, t))
+                pos = 0
+                checked["planted"] += 1
+            else:
+                continue
+            assert conway(moved) == conway(word)
+            assert skein3._resolution_step(word) == _split(moved, pos)
+    assert min(checked.values()) > 0, checked
 
 
 def test_step_obeys_the_skein_relation_on_the_matrix_route():
