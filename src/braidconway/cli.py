@@ -33,7 +33,6 @@ from .skein3 import (
     LETTERS,
     TreeTooLarge,
     Word,
-    check_tree_size,
     conway_via_skein,
     format_word,
     parse_word,
@@ -76,9 +75,7 @@ def _cmd_conway(args: argparse.Namespace) -> int:
 # tree
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    word = parse_word(args.word)
-    check_tree_size(word)
-    tree = resolve(word)
+    tree = resolve(parse_word(args.word))
     if args.format == "dot":
         print(tree_to_dot(tree))
     else:

@@ -36,9 +36,9 @@ every node, deterministically and leftmost-first, so the same word always
 produces the same tree.
 
 One explicit-stack pass folds a tree from the leaves up, over a memo of
-subword results that its caller owns: ``conway_via_skein`` folds values,
-``resolve`` builds nodes and ``Node.leaf_count`` counts leaves.  Nothing
-recurses, so a word's length sets no depth limit.
+subword results that its caller owns.  There are two folds:
+``conway_via_skein`` folds values, and ``resolve`` builds nodes up to
+``TREE_NODE_LIMIT``.  Nothing recurses, so length sets no depth limit.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ __all__ = [
     "resolve",
     "TREE_NODE_LIMIT",
     "TreeTooLarge",
-    "check_tree_size",
     "leaf_conway",
     "conway_via_skein",
     "tree_to_json",
@@ -232,33 +231,18 @@ class Node:
     Leaves carry their LeafKind; inner nodes carry two children, the left
     reached by the weight-1 edge (square erased) and the right by the
     weight-z edge (square reduced to one letter).  Equal subwords share
-    one Node.  A node holds no value: ``value`` asks ``conway_via_skein``.
+    one Node.  size counts the nodes of the subtree, 1 for a leaf, each
+    shared Node as often as it is reached.  A node holds no value.
     """
 
     word: Word
     leaf: LeafKind | None = None
     left: "Node | None" = None
     right: "Node | None" = None
-
-    def value(self) -> ZPoly:
-        """The skein value of this node's word."""
-        return conway_via_skein(self.word)
-
-    def leaf_count(self) -> int:
-        return _fold(self.word, {}, lambda word, kind, lo, hi: 1 if kind else lo + hi)
+    size: int = 1
 
 
-def resolve(w: Word) -> Node:
-    """The full resolution tree of a word: its structure, not its values.
-
-    Equal subwords share one Node, so the tree takes one Node per distinct
-    subword, however many leaves it has.
-    """
-    # make's arguments are Node's fields, in order.
-    return _fold(w, {}, Node)
-
-
-#: The most nodes that the ``tree`` command prints.
+#: The most nodes that ``resolve`` builds a tree of.
 TREE_NODE_LIMIT = 250_000
 
 
@@ -266,23 +250,26 @@ class TreeTooLarge(ValueError):
     """A word's resolution tree has more than TREE_NODE_LIMIT nodes."""
 
 
-def check_tree_size(w: Word) -> None:
-    """Raise TreeTooLarge when w's tree has more than TREE_NODE_LIMIT nodes.
+def resolve(w: Word) -> Node:
+    """The full resolution tree of a word: its structure, not its values.
 
-    A word's distinct subwords never outnumber its tree's nodes, so the
-    count stops once its memo or a subtree passes the limit: a refusal
-    takes at most about TREE_NODE_LIMIT resolution steps.
+    Equal subwords share one Node, so the tree takes one Node per distinct
+    subword, however many leaves it has.  A word's distinct subwords never
+    outnumber its tree's nodes, so the fold raises TreeTooLarge once a
+    subtree or its memo passes TREE_NODE_LIMIT: a refusal takes at most
+    about TREE_NODE_LIMIT resolution steps.
     """
-    memo: dict[Word, int] = {}
+    memo: dict[Word, Node] = {}
 
-    def count(word: Word, kind: LeafKind | None, lo: int, hi: int) -> int:
+    def make(word: Word, kind: LeafKind | None, left: Node, right: Node) -> Node:
         if kind is not None:
-            return 1
-        if lo + hi >= TREE_NODE_LIMIT or len(memo) > TREE_NODE_LIMIT:
+            return Node(word, kind)
+        size = 1 + left.size + right.size
+        if size > TREE_NODE_LIMIT or len(memo) > TREE_NODE_LIMIT:
             raise TreeTooLarge(f"resolution tree has more than {TREE_NODE_LIMIT} nodes")
-        return 1 + lo + hi
+        return Node(word, None, left, right, size)
 
-    _fold(w, memo, count)
+    return _fold(w, memo, make)
 
 
 def leaf_conway(leaf: LeafKind, k: int = 0) -> ZPoly:
@@ -333,6 +320,8 @@ def tree_to_json(root: Node) -> dict:
     The top level repeats the input word and ends with the tree's total
     skein value as a coefficient list, so the footer is the last key.
     """
+    values: dict[Word, ZPoly] = {}  # one fold gives every word's value
+    values[root.word] = conway_via_skein(root.word, values)
     open_docs: list[dict] = []  # entered and not yet left
     for node, edge, entering in _walk(root):
         if not entering:
@@ -345,7 +334,7 @@ def tree_to_json(root: Node) -> dict:
             doc["leaf"] = node.leaf.value
             if node.leaf is LeafKind.TRIPLE_POWER:
                 doc["k"] = len(node.word) // 3
-            doc["value"] = list(node.value().coeffs)
+            doc["value"] = list(values[node.word].coeffs)
         else:
             doc["children"] = []
         if open_docs:
@@ -354,7 +343,7 @@ def tree_to_json(root: Node) -> dict:
     return {
         "word": format_word(root.word),
         "tree": doc,
-        "value": list(root.value().coeffs),
+        "value": list(values[root.word].coeffs),
     }
 
 
@@ -364,6 +353,8 @@ def tree_to_dot(root: Node) -> str:
     Leaves are boxes annotated with their kind and value; the graph label
     carries the total.  An edge is written when its child is left.
     """
+    values: dict[Word, ZPoly] = {}  # one fold gives every word's value
+    values[root.word] = conway_via_skein(root.word, values)
     lines = ["digraph resolution {", "  node [fontname=monospace];"]
     open_names: list[str] = []  # entered and not yet left
     entered = 0
@@ -379,12 +370,12 @@ def tree_to_dot(root: Node) -> str:
         if node.leaf is not None:
             lines.append(
                 f'  {name} [shape=box label="{label}\\n'
-                f'{node.leaf.value}: {node.value().render()}"];'
+                f'{node.leaf.value}: {values[node.word].render()}"];'
             )
         else:
             lines.append(f'  {name} [label="{label}"];')
         open_names.append(name)
-    lines.append(f'  label="conway: {root.value().render()}";')
+    lines.append(f'  label="conway: {values[root.word].render()}";')
     lines.append("}")
     return "\n".join(lines)
 
@@ -426,6 +417,10 @@ def _value(word: Word, kind: LeafKind | None, lo: ZPoly, hi: ZPoly) -> ZPoly:
 #: The memo of subword values that conway_via_skein uses by default.
 _MEMO: dict[Word, ZPoly] = {}
 
+#: Entries past which conway_via_skein clears _MEMO before it folds.  A
+#: 25-word ``long`` round fills about 41 000; a fresh memo per word is slower.
+_MEMO_LIMIT = 2**17
+
 
 def conway_via_skein(w: Word, memo: dict[Word, ZPoly] | None = None) -> ZPoly:
     """The Conway polynomial of the closure of w, by resolution.
@@ -434,8 +429,10 @@ def conway_via_skein(w: Word, memo: dict[Word, ZPoly] | None = None) -> ZPoly:
     w's tree that it lacks, so sweeping many related words stays cheap;
     w's own value is not stored, since a sweep asks for each word once.
     Without a memo, a module-wide one is used, which lives as long as the
-    process.  ``resolve(w).value()`` reads that one.  The value returned
-    may be one object shared with other words' values, as ZPoly is
-    immutable.
+    process and is cleared before a fold once it holds more than
+    _MEMO_LIMIT entries.  The value returned may be one object shared with
+    other words' values, as ZPoly is immutable.
     """
+    if memo is None and len(_MEMO) > _MEMO_LIMIT:
+        _MEMO.clear()
     return _fold(w, _MEMO if memo is None else memo, _value)

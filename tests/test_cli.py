@@ -243,13 +243,15 @@ def test_tree_rejects_foreign_letters(capsys):
 
 
 def test_tree_refuses_a_tree_over_the_node_limit(capsys):
-    # "1"*30 has 2 692 537 nodes, and a random 200-letter word has far
-    # more; both are refused before anything is built or printed.
+    # "1"*26 has 392 835 nodes, "1"*30 has 2 692 537, and a random
+    # 200-letter word has far more; each is refused while its tree is
+    # built, before anything is printed.
     import random
 
     rng = random.Random(200)
     letters = ["1", "2", "13"]
-    for word in [" ".join(["1"] * 30), " ".join(rng.choices(letters, k=200))]:
+    words = [" ".join(["1"] * n) for n in (26, 30)]
+    for word in words + [" ".join(rng.choices(letters, k=200))]:
         for fmt in ("json", "dot"):
             code, out, err = run(capsys, "tree", word, "--format", fmt)
             assert code == 2

@@ -1,6 +1,7 @@
 """The resolution-tree engine on positive three-strand band words."""
 
 import hashlib
+import json
 import random
 from itertools import product
 
@@ -376,35 +377,38 @@ def test_trefoil_tree_shape():
     assert tree.right.word == w("1 13 2")
     assert tree.right.left.word == w("13")
     assert tree.right.right.word == w("13 2")
-    assert tree.value() == ZPoly((1, 0, 1))
-    assert tree.leaf_count() == 3
+    assert conway_via_skein(tree.word) == ZPoly((1, 0, 1))
+    # Three leaves under two inner nodes.
+    assert (tree.size, tree.left.size, tree.right.size) == (5, 1, 3)
 
 
 def test_resolve_leaf_is_single_node():
     tree = resolve(w("1 2 13"))
     assert tree.leaf == LeafKind.TRIPLE_POWER
     assert tree.left is None and tree.right is None
-    assert tree.value() == 2 * Z
+    assert tree.size == 1
+    assert conway_via_skein(tree.word) == 2 * Z
 
 
 def test_tree_accounting():
     # Children shorten by exactly two (erased) and one (reduced) letters,
-    # and the cached evaluator agrees with the sum over the tree's leaves.
+    # each node's size counts its subtree, and the cached evaluator agrees
+    # with the sum over the tree's leaves.
     rng = random.Random(216091)
 
     def check(node):
         if node.leaf is not None:
             assert classify_leaf(node.word) == node.leaf
+            assert node.size == 1
             return leaf_conway(node.leaf, len(node.word) // 3)
         assert len(node.left.word) == len(node.word) - 2
         assert len(node.right.word) == len(node.word) - 1
+        assert node.size == 1 + node.left.size + node.right.size
         return check(node.left) + Z * check(node.right)
 
     for _ in range(40):
         word = _random_word(rng, 9)
-        tree = resolve(word)
-        assert check(tree) == conway_via_skein(word)
-        assert tree.value() == conway_via_skein(word)
+        assert check(resolve(word)) == conway_via_skein(word)
 
 
 def test_conway_via_skein_memoizes_subwords_not_the_word(monkeypatch):
@@ -423,8 +427,8 @@ def test_conway_via_skein_memoizes_subwords_not_the_word(monkeypatch):
 
     assert word not in memo
     for node in descendants(tree):
-        assert memo[node.word] == node.value()
-    assert tree.value() == value
+        assert memo[node.word] == conway_via_skein(node.word)
+    assert conway_via_skein(word, {}) == value
 
     classified = []
     classify = skein3.classify_leaf
@@ -446,20 +450,55 @@ def test_long_words_resolve_without_a_depth_limit():
     assert len(value.coeffs) == 1001 and value.is_nonneg()
 
 
-def test_leaf_count_of_a_long_power_is_a_fibonacci_number():
-    # x^n resolves to x^(n-2) and x^(n-1), so its leaves number F(n+1).
-    fib = [0, 1]
-    while len(fib) <= 3001:
-        fib.append(fib[-1] + fib[-2])
-    assert resolve((0,) * 3000).leaf_count() == fib[3001]
+def test_module_memo_is_cleared_past_its_bound(monkeypatch):
+    # Without a memo of the caller's, values go through the module-wide
+    # one, which is emptied before a fold once it passes its bound.
+    monkeypatch.setattr(skein3, "_MEMO", {})
+    monkeypatch.setattr(skein3, "_MEMO_LIMIT", 20)
+    rng = random.Random(131072)
+    cleared = 0
+    for _ in range(60):
+        word = tuple(rng.choice(LETTERS) for _ in range(rng.randint(6, 11)))
+        before = len(skein3._MEMO)
+        value = conway_via_skein(word)
+        fresh = {}
+        assert value == conway_via_skein(word, fresh), format_word(word)
+        if before > 20:
+            cleared += 1
+            assert skein3._MEMO == fresh, format_word(word)
+        else:
+            assert skein3._MEMO.items() >= fresh.items(), format_word(word)
+    assert cleared > 10
 
 
 def test_tree_size_limit_falls_between_lengths_25_and_26():
-    # x^n has 2 F(n+1) - 1 nodes: 242 785 at n = 25, 392 835 at n = 26.
+    # x^n resolves to x^(n-2) and x^(n-1), so it has F(n+1) leaves and
+    # 2 F(n+1) - 1 nodes: 242 785 at n = 25, 392 835 at n = 26.
+    fib = [0, 1]
+    while len(fib) <= 27:
+        fib.append(fib[-1] + fib[-2])
     assert skein3.TREE_NODE_LIMIT == 250_000
-    skein3.check_tree_size((0,) * 25)
+    assert resolve((0,) * 25).size == 242_785 == 2 * fib[26] - 1
     with pytest.raises(skein3.TreeTooLarge, match="250000"):
-        skein3.check_tree_size((0,) * 26)
+        resolve((0,) * 26)
+
+
+def test_resolve_refuses_exactly_the_trees_over_the_limit(monkeypatch):
+    # A subtree or the memo past the limit stops the fold; either happens
+    # exactly when the whole tree has more nodes than the limit.
+    sizes = {
+        word: resolve(word).size
+        for length in range(8)
+        for word in product(LETTERS, repeat=length)
+    }
+    for limit in (1, 3, 5, 9, 20):
+        monkeypatch.setattr(skein3, "TREE_NODE_LIMIT", limit)
+        for word, size in sizes.items():
+            if size > limit:
+                with pytest.raises(skein3.TreeTooLarge, match=f"{limit} nodes"):
+                    resolve(word)
+            else:
+                assert resolve(word).size == size
 
 
 def test_delta_relabel_keeps_both_routes():
@@ -501,7 +540,7 @@ def test_tree_to_json_document():
     doc = tree_to_json(tree)
     assert list(doc) == ["word", "tree", "value"]
     assert doc["word"] == "1 1 2"
-    assert doc["value"] == list(tree.value().coeffs)
+    assert doc["value"] == list(conway_via_skein(tree.word).coeffs)
     root = doc["tree"]
     assert "edge" not in root
     left, right = root["children"]
@@ -527,3 +566,27 @@ def test_tree_to_dot_shape():
     assert '[label="1"]' in dot and '[label="z"]' in dot
     assert 'label="conway: ' in dot
     assert "(empty)" in dot  # the erased child of "1 1"
+
+
+def test_tree_output_of_every_short_word_is_pinned():
+    # One sha256 over the JSON and DOT bytes of all 1093 words of length
+    # <= 6, in product order.
+    digest = hashlib.sha256()
+    for length in range(7):
+        for word in product(LETTERS, repeat=length):
+            tree = resolve(word)
+            digest.update(json.dumps(tree_to_json(tree), indent=2).encode())
+            digest.update(tree_to_dot(tree).encode())
+    assert digest.hexdigest() == (
+        "ef26c5fcb8d1523205b6deaf38fbd08552a6ee872014a6cb783788d33cb0cdf5"
+    )
+
+
+def test_tree_writers_fold_over_their_own_memo(monkeypatch):
+    # The writers fold each tree's values once, and leave the module-wide
+    # memo alone.
+    monkeypatch.setattr(skein3, "_MEMO", {})
+    tree = resolve(w("1 2 1 2 13 2 2 1"))
+    tree_to_json(tree)
+    tree_to_dot(tree)
+    assert skein3._MEMO == {}
