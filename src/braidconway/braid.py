@@ -161,7 +161,7 @@ def parse_artin(text: str, n: int) -> ArtinWord:
     """Read a whitespace-separated list of signed generator indices.
 
     "1 -2 1" on 3 strands is sigma_1 sigma_2^-1 sigma_1.  An empty string
-    is the empty word.
+    is the empty word.  ArtinWord checks each index against n.
     """
     letters: list[tuple[int, int]] = []
     for token in text.split():
@@ -171,19 +171,15 @@ def parse_artin(text: str, n: int) -> ArtinWord:
             raise ParseError(f"bad Artin letter {token!r}") from None
         if k == 0:
             raise ParseError("bad Artin letter '0'")
-        i = abs(k)
-        if i > n - 1:
-            raise IndexOutOfRange(
-                f"letter {token!r} out of range on {n} strands"
-            )
-        letters.append((i, 1 if k > 0 else -1))
+        letters.append((abs(k), 1 if k > 0 else -1))
     return ArtinWord(n, tuple(letters))
 
 
 def parse_band(text: str, n: int) -> BandWord:
     """Read a whitespace-separated list of band letters 'i:j' or '-i:j'.
 
-    "1:6 -2:5" on 6 strands is sigma_{1,6} sigma_{2,5}^-1.
+    "1:6 -2:5" on 6 strands is sigma_{1,6} sigma_{2,5}^-1.  BandWord
+    checks each letter's order and range.
     """
     letters: list[tuple[int, int, int]] = []
     for token in text.split():
@@ -199,12 +195,6 @@ def parse_band(text: str, n: int) -> BandWord:
             i, j = int(i_text), int(j_text)
         except ValueError:
             raise ParseError(f"bad band letter {token!r}") from None
-        if i >= j:
-            raise NotOrdered(f"band letter {token!r} needs i < j")
-        if i < 1 or j > n:
-            raise IndexOutOfRange(
-                f"band letter {token!r} out of range on {n} strands"
-            )
         letters.append((i, j, sign))
     return BandWord(n, tuple(letters))
 

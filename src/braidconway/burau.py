@@ -51,6 +51,7 @@ __all__ = [
 
 
 _ONE = LaurentPoly.term(1)
+_ZERO = LaurentPoly.term(0)
 
 
 class InternalInconsistency(RuntimeError):
@@ -83,12 +84,11 @@ class BurauMatrix:
 
     @classmethod
     def identity(cls, n: int) -> BurauMatrix:
-        zero = LaurentPoly()
         size = n - 1
         return cls(
             n,
             tuple(
-                tuple(_ONE if r == c else zero for c in range(size))
+                (_ZERO,) * r + (_ONE,) + (_ZERO,) * (size - 1 - r)
                 for r in range(size)
             ),
         )
@@ -102,11 +102,14 @@ class BurauMatrix:
 
     @cached_property
     def _moved_columns(self) -> tuple[tuple[int, tuple[LaurentPoly, ...]], ...]:
-        """(j, column j) for every column j that is not the identity's."""
+        """(j, column j) for every column j that is not the identity's.
+
+        The identity's rows are its columns.  Tuple comparison settles its
+        shared entries by identity, and any other entry by value.
+        """
+        unit = BurauMatrix.identity(self.n).entries
         return tuple(
-            (j, col)
-            for j, col in enumerate(zip(*self.entries))
-            if col[j] != _ONE or any(col[:j]) or any(col[j + 1 :])
+            (j, col) for j, col in enumerate(zip(*self.entries)) if col != unit[j]
         )
 
     def __mul__(self, other: BurauMatrix) -> BurauMatrix:

@@ -79,7 +79,9 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     if args.format == "dot":
         print(tree_to_dot(tree))
     else:
-        print(json.dumps(tree_to_json(tree), indent=2))
+        # Streamed: the whole 116 MB document near the node limit is never one string.
+        json.dump(tree_to_json(tree), sys.stdout, indent=2)
+        sys.stdout.write("\n")
     return 0
 
 

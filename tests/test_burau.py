@@ -144,6 +144,70 @@ def test_products_equal_dense_products():
             assert burau_rep(word) == right
 
 
+def test_identity_equals_one_built_entry_by_entry():
+    for n in range(2, 10):
+        built = tuple(
+            tuple(LaurentPoly({0: 1} if r == c else {}) for c in range(n - 1))
+            for r in range(n - 1)
+        )
+        assert BurauMatrix.identity(n) == BurauMatrix(n, built)
+        assert BurauMatrix.identity(n)._moved_columns == ()
+
+
+def _moved_columns_by_entry(m):
+    """(j, column j) for every column j with an entry unlike the identity's."""
+    columns = [tuple(row[j] for row in m.entries) for j in range(m.size)]
+    return tuple(
+        (j, col)
+        for j, col in enumerate(columns)
+        if any(entry != (ONE if r == j else ZERO) for r, entry in enumerate(col))
+    )
+
+
+def test_moved_columns_match_an_entry_by_entry_reference():
+    # Every generator and band letter on up to 7 strands, each also with
+    # every entry a fresh object, so that no comparison is settled by
+    # identity.
+    from braidconway import burau
+
+    letters = []
+    for n in range(2, 8):
+        for sign in (1, -1):
+            letters += [burau_generator(i, n, sign) for i in range(1, n)]
+            letters += [
+                burau._band_letter_matrix(i, j, sign, n)
+                for i in range(1, n)
+                for j in range(i + 1, n + 1)
+            ]
+    assert len(letters) == 2 * (21 + 56)
+    for m in letters:
+        fresh = BurauMatrix(
+            m.n, tuple(tuple(LaurentPoly(dict(e.items())) for e in row) for row in m.entries)
+        )
+        expected = _moved_columns_by_entry(m)
+        assert expected
+        assert m._moved_columns == expected
+        assert fresh._moved_columns == expected
+
+
+def test_moved_columns_make_no_truth_test(monkeypatch):
+    from braidconway import burau
+
+    m = burau._generator_matrix(150, 300, 1)
+    calls = 0
+    truth = LaurentPoly.__bool__
+
+    def counted_bool(self):
+        nonlocal calls
+        calls += 1
+        return truth(self)
+
+    monkeypatch.setattr(LaurentPoly, "__bool__", counted_bool)
+    moved = m._moved_columns
+    assert [j for j, _ in moved] == [149]
+    assert calls == 0
+
+
 def test_matrix_hashes_its_entries_once(monkeypatch):
     m = burau_rep(parse_artin("1 -2 3 2", 4))
     calls = []

@@ -51,6 +51,28 @@ def test_conway_rejects_index_out_of_range(capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize(
+    "alphabet, word, strands, named",
+    [
+        ("--artin", "1 3", "3", "generator index 3 "),
+        ("--artin", "1 -5", "4", "generator index 5 "),
+        ("--artin", "1 0", "3", "'0'"),
+        ("--artin", "1", "1", "at least 2 strands, got 1"),
+        ("--band", "1:2 1:7", "6", "band generator 1:7 "),
+        ("--band", "-0:2", "3", "band generator 0:2 "),
+        ("--band", "3:1", "4", "i < j, got 3:1"),
+        ("--band", "-2:2", "4", "i < j, got 2:2"),
+        ("--band", "1:2", "1", "at least 2 strands, got 1"),
+    ],
+)
+def test_conway_names_a_bad_letter_and_exits_2(capsys, alphabet, word, strands, named):
+    # The parsers only tokenize; ArtinWord and BandWord check every letter.
+    code, out, err = run(capsys, "conway", f"{alphabet}={word}", "-n", strands)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+
+
 def test_conway_requires_exactly_one_alphabet():
     with pytest.raises(SystemExit) as info:
         main(["conway", "--artin", "1", "--band", "1:2", "-n", "3"])
@@ -353,6 +375,10 @@ def test_scan_takes_one_product_per_braid_and_letter(monkeypatch):
         calls += 1
         return mul(self, other)
 
+    # An uncounted walk first: the process-wide burau_generator and
+    # _band_letter_matrix caches take 8 products of their own when cold,
+    # and the count below is the walk's alone, whatever ran before.
+    cli._scan_subtree(((),), 0)
     monkeypatch.setattr(BurauMatrix, "__mul__", counted_mul)
     for max_len in range(9):
         for _ in range(2):
