@@ -13,14 +13,17 @@ InternalInconsistency rather than a value error.  The sign, the monomial
 and the bracket are pinned by fixed two-, three- and six-strand closures
 in the test suite.
 
-Determinants use Bareiss elimination, O(n^3) ring operations.  The scan
-asks for one product per distinct (braid, letter) pair and one
-determinant per distinct braid, not one per word: its walk memoizes both
-on the exact matrix, so the 29 524 words of length <= 9 cost 3042
-products (3 of them the letter matrices) and 2036 determinants.  The
-rest of the normalization depends only on (n, e, det(M - Id)), and few
-such triples occur: those words meet 80.  So ``_normalize`` keeps a
-fixed-size memo of it; a failed normalization raises and is not cached.
+Every letter matrix has determinant (-s^2)^sign, so det M = (-s^2)^e.
+On three strands M is 2x2, and det(M - Id) = (-s^2)^e - tr M + 1 needs
+only the trace and the exponent sum.  On more strands det(M - Id) comes
+from Bareiss elimination, O(n^3) ring operations.  The scan asks for one
+product per distinct (braid, letter) pair and one normalization per
+distinct braid, not one per word: its walk memoizes both on the exact
+matrix, so the 29 524 words of length <= 9 cost 3042 products (3 of
+them the letter matrices) and 2036 normalizations.  The rest of the
+normalization depends only on (n, e, det(M - Id)), and few such triples
+occur: those words meet 80.  So ``_normalize`` keeps a fixed-size memo
+of it; a failed normalization raises and is not cached.
 """
 
 from __future__ import annotations
@@ -78,6 +81,15 @@ class BurauMatrix:
         if len(self.entries) != size or any(len(row) != size for row in self.entries):
             raise ValueError(f"entries must form a {size}x{size} matrix")
 
+    @classmethod
+    def _unchecked(
+        cls, n: int, entries: tuple[tuple[LaurentPoly, ...], ...]
+    ) -> BurauMatrix:
+        """A matrix whose shape the caller vouches for, built without validation."""
+        m = object.__new__(cls)
+        m.__dict__.update(n=n, entries=entries)
+        return m
+
     @property
     def size(self) -> int:
         return self.n - 1
@@ -116,7 +128,9 @@ class BurauMatrix:
         """The product, computing only other's columns that are not the identity's.
 
         Where other's column j is the identity's, column j of the product
-        is self's column j, copied; a letter matrix moves one column.
+        is self's column j, copied; a letter matrix moves one column.  Two
+        matrices of the same n make a product of the right shape, so it is
+        not validated again.
         """
         if not isinstance(other, BurauMatrix):
             return NotImplemented
@@ -131,7 +145,7 @@ class BurauMatrix:
             for j, col in moved:
                 out[j] = LaurentPoly.dot(row, col)
             rows.append(tuple(out))
-        return BurauMatrix(self.n, tuple(rows))
+        return BurauMatrix._unchecked(self.n, tuple(rows))
 
     def det(self) -> LaurentPoly:
         """Fraction-free Bareiss elimination, O(size^3) ring operations.
@@ -243,7 +257,18 @@ def burau_rep(word: ArtinWord | BandWord) -> BurauMatrix:
 
 
 def conway_from_matrix(m: BurauMatrix, exponent_sum: int) -> ZPoly:
-    """Normalize a word's matrix into the Conway polynomial of its closure."""
+    """Normalize a word's matrix into the Conway polynomial of its closure.
+
+    On three strands det(M - Id) is det M - tr M + 1, and det M is
+    (-s^2)^e for the matrix of any word with exponent sum e, so the trace
+    and e suffice; a wrong e makes the normalization fail, as the tests
+    check.  On more strands M - Id goes through Bareiss elimination.
+    """
+    if m.n == 3:
+        (a, _), (_, d) = m.entries
+        e = exponent_sum
+        det = LaurentPoly.term(-1 if e % 2 else 1, 2 * e) - (a + d) + _ONE
+        return _normalize(3, e, det)
     shifted = tuple(
         tuple(entry - _ONE if r == c else entry for c, entry in enumerate(row))
         for r, row in enumerate(m.entries)

@@ -4,10 +4,11 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidconway.braid import ArtinWord, half_twist, parse_artin, parse_band
+from braidconway import burau
+from braidconway.braid import ArtinWord, BandWord, half_twist, parse_artin, parse_band
 from braidconway.burau import (
     BurauMatrix,
     InternalInconsistency,
@@ -79,8 +80,6 @@ def test_inverses_multiply_to_identity():
 
 
 def test_generator_identity_check_catches_a_wrong_inverse(monkeypatch):
-    from braidconway import burau
-
     broken = dict(burau._GENERATOR_COLUMN)
     broken[-1] = ({0: 1}, {-2: -1}, {-2: -1})
     monkeypatch.setattr(burau, "_GENERATOR_COLUMN", broken)
@@ -95,8 +94,6 @@ def test_generator_identity_check_catches_a_wrong_inverse(monkeypatch):
 
 
 def test_letter_caches_are_bounded():
-    from braidconway import burau
-
     for cached in (burau_generator, burau._band_letter_matrix):
         assert cached.cache_info().maxsize is not None
 
@@ -128,8 +125,6 @@ def test_products_equal_dense_products():
     # which move one column, to words that move them all.  Band letters
     # such as 1:4 also have columns that keep the identity's 1 on the
     # diagonal but not its zeros around it.
-    from braidconway.braid import BandWord
-
     rng = random.Random(5147)
     for _ in range(80):
         n = rng.randint(2, 6)
@@ -168,8 +163,6 @@ def test_moved_columns_match_an_entry_by_entry_reference():
     # Every generator and band letter on up to 7 strands, each also with
     # every entry a fresh object, so that no comparison is settled by
     # identity.
-    from braidconway import burau
-
     letters = []
     for n in range(2, 8):
         for sign in (1, -1):
@@ -191,8 +184,6 @@ def test_moved_columns_match_an_entry_by_entry_reference():
 
 
 def test_moved_columns_make_no_truth_test(monkeypatch):
-    from braidconway import burau
-
     m = burau._generator_matrix(150, 300, 1)
     calls = 0
     truth = LaurentPoly.__bool__
@@ -218,6 +209,32 @@ def test_matrix_hashes_its_entries_once(monkeypatch):
     table = {m: "m"}
     assert table[m] == "m"
     assert len(calls) == 9
+
+
+def test_the_public_constructor_still_checks_the_shape():
+    for entries in ((), ((ONE,),), ((ONE, ZERO), (ONE,)), ((ONE, ZERO, ZERO),) * 3):
+        with pytest.raises(ValueError):
+            BurauMatrix(3, entries)
+    with pytest.raises(ValueError):
+        BurauMatrix(1, ())
+
+
+def test_products_behave_like_validated_matrices():
+    # A product skips the shape check; it still equals, hashes like and
+    # moves the same columns as the matrix built entry by entry through
+    # the public constructor.
+    rng = random.Random(3307)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        left = burau_rep(_random_word(rng, n, 5))
+        right = burau_rep(_random_word(rng, n, 3))
+        product = left * right
+        reference = _dense_product(left, right)
+        assert (product.n, product.size) == (reference.n, reference.size)
+        assert product == reference
+        assert hash(product) == hash(reference)
+        assert {reference: "m"}[product] == "m"
+        assert product._moved_columns == reference._moved_columns
 
 
 def test_braid_relations():
@@ -304,8 +321,6 @@ def test_band_words_match_their_artin_expansion():
             i = rng.randint(1, n - 1)
             j = rng.randint(i + 1, n)
             letters.append((i, j, rng.choice((1, -1))))
-        from braidconway.braid import BandWord
-
         band = BandWord(n, tuple(letters))
         assert burau_rep(band) == burau_rep(band.to_artin())
 
@@ -388,12 +403,120 @@ def test_markov_stabilization():
                 assert conway_via_burau(wider) == value
 
 
+@st.composite
+def _mixed_artin_words(draw):
+    n = draw(st.integers(2, 8))
+    letters = draw(
+        st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=10)
+    )
+    return ArtinWord(n, tuple(letters))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_artin_words(), st.integers(0, 9))
+def test_conway_is_invariant_under_rotation(word, k):
+    assert conway_via_burau(word.rotated(k % max(1, len(word)))) == conway_via_burau(word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_artin_words(), st.sampled_from((1, -1)))
+# 2 -> 3 and 3 -> 4 strands cross between the trace form and Bareiss.
+@example(ArtinWord(2, ((1, 1), (1, 1), (1, -1))), -1)
+@example(ArtinWord(3, ((1, 1), (2, -1), (2, -1), (1, 1))), 1)
+def test_conway_is_invariant_under_markov_stabilization(word, sign):
+    wider = ArtinWord(word.n + 1, word.letters + ((word.n, sign),))
+    assert conway_via_burau(wider) == conway_via_burau(word)
+
+
 def test_normalization_rejects_wrong_exponent():
     # Feeding the wrong exponent sum breaks exactness, and the failure is
     # reported as an internal fault, not a value.
     m = burau_rep(parse_artin("1", 2))
     with pytest.raises(InternalInconsistency):
         conway_from_matrix(m, 2)
+
+
+# --- the three-strand trace form --------------------------------------------
+
+def _bareiss_conway(m, exponent_sum):
+    """The normalization of det(M - Id) from Bareiss elimination, any n."""
+    shifted = BurauMatrix(
+        m.n,
+        tuple(
+            tuple(entry - ONE if r == c else entry for c, entry in enumerate(row))
+            for r, row in enumerate(m.entries)
+        ),
+    )
+    return burau._normalize(m.n, exponent_sum, shifted.det())
+
+
+def _positive_three_braids(max_len):
+    """(matrix, length) for every distinct positive 3-braid up to max_len.
+
+    The band words are walked length by length and deduplicated on the
+    matrix, which is faithful on three strands.
+    """
+    letters = [burau_rep(BandWord(3, ((i, j, 1),))) for i, j in ((1, 2), (2, 3), (1, 3))]
+    level = {BurauMatrix.identity(3)}
+    for length in range(max_len + 1):
+        yield from ((m, length) for m in level)
+        level = {m * letter for m in level for letter in letters}
+
+
+def test_trace_form_matches_bareiss_on_every_positive_braid_to_length_9():
+    count = 0
+    for m, length in _positive_three_braids(9):
+        assert m.det() == LaurentPoly({2 * length: -1 if length % 2 else 1})
+        assert conway_from_matrix(m, length) == _bareiss_conway(m, length)
+        count += 1
+    assert count == 2 ** 11 - 9 - 3
+
+
+def test_trace_form_matches_bareiss_on_mixed_sign_words():
+    rng = random.Random(27183)
+    words = [_random_word(rng, 3, 12) for _ in range(100)]
+    for _ in range(100):
+        letters = tuple(
+            rng.choice(((1, 2), (2, 3), (1, 3))) + (rng.choice((1, -1)),)
+            for _ in range(rng.randint(0, 12))
+        )
+        words.append(BandWord(3, letters))
+    exponents = [w.exponent_sum() for w in words]
+    assert min(exponents) < 0 < max(exponents)
+    for w, e in zip(words, exponents):
+        m = burau_rep(w)
+        assert m.det() == LaurentPoly({2 * e: -1 if e % 2 else 1})
+        assert conway_from_matrix(m, e) == _bareiss_conway(m, e)
+
+
+def test_trace_form_rejects_a_wrong_exponent_sum():
+    rng = random.Random(1618)
+    for _ in range(40):
+        w = _random_word(rng, 3, 12)
+        m, e = burau_rep(w), w.exponent_sum()
+        for wrong in (e - 2, e - 1, e + 1, e + 2, e + 3):
+            with pytest.raises(InternalInconsistency):
+                conway_from_matrix(m, wrong)
+
+
+def test_trace_form_takes_no_determinant_and_wider_braids_take_one(monkeypatch):
+    calls = 0
+    det = BurauMatrix.det
+
+    def counted_det(self):
+        nonlocal calls
+        calls += 1
+        return det(self)
+
+    monkeypatch.setattr(BurauMatrix, "det", counted_det)
+    rng = random.Random(4142)
+    for n in range(3, 8):
+        for _ in range(4):
+            w = _random_word(rng, n, 10)
+            m = burau_rep(w)
+            calls = 0
+            conway_from_matrix(m, w.exponent_sum())
+            assert calls == (0 if n == 3 else 1)
 
 
 # --- the full-twist difference law -------------------------------------------

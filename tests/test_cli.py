@@ -312,28 +312,43 @@ def test_scan_counts_match_alphabet_growth(capsys, tmp_path):
     assert "words: 121" in out
 
 
-def test_scan_takes_one_determinant_per_braid(monkeypatch):
-    # The 3^k words of length k spell 2^(k+1) - 1 distinct braids, so a
-    # walk that normalizes each distinct matrix once takes
-    # sum_{k <= L} (2^(k+1) - 1) = 2^(L+2) - L - 3 determinants.  The same
-    # count on a second walk shows that no memo outlives its walk.
+def _count_normalizations_and_determinants(monkeypatch):
+    """Counts calls to the scan's conway_from_matrix and to BurauMatrix.det."""
     from braidconway import cli
     from braidconway.burau import BurauMatrix
 
-    calls = 0
-    det = BurauMatrix.det
+    counts = {"normalize": 0, "det": 0}
+    normalize, det = cli.conway_from_matrix, BurauMatrix.det
+
+    def counted_normalize(m, exponent_sum):
+        counts["normalize"] += 1
+        return normalize(m, exponent_sum)
 
     def counted_det(self):
-        nonlocal calls
-        calls += 1
+        counts["det"] += 1
         return det(self)
 
+    monkeypatch.setattr(cli, "conway_from_matrix", counted_normalize)
     monkeypatch.setattr(BurauMatrix, "det", counted_det)
+    return counts
+
+
+def test_scan_takes_one_normalization_per_braid(monkeypatch):
+    # The 3^k words of length k spell 2^(k+1) - 1 distinct braids, so a
+    # walk that normalizes each distinct matrix once makes
+    # sum_{k <= L} (2^(k+1) - 1) = 2^(L+2) - L - 3 normalizations.  The
+    # same count on a second walk shows that no memo outlives its walk.
+    # On three strands the normalization reads the trace, so the walk
+    # takes no determinant.
+    from braidconway import cli
+
+    counts = _count_normalizations_and_determinants(monkeypatch)
     for max_len in range(9):
         for _ in range(2):
-            calls = 0
+            counts.update(normalize=0, det=0)
             cli._scan_subtree(((),), max_len)
-            assert calls == 2 ** (max_len + 2) - max_len - 3
+            normalizations = 2 ** (max_len + 2) - max_len - 3
+            assert counts == {"normalize": normalizations, "det": 0}
 
 
 def test_scan_skein_memo_lives_for_one_walk(monkeypatch):
@@ -631,25 +646,16 @@ def test_parallel_scan_walks_each_group_once(monkeypatch, in_process_pool):
     # At --jobs 2 the 27 depth-3 prefixes go to two tasks of 13 and 14,
     # each one walk with one matrix memo.  Braids shared between the two
     # groups are normalized once in each, so the count lies between one
-    # walk of all words (1013 determinants at length 8) and nine separate
-    # tasks, one per depth-2 prefix (2227).
+    # walk of all words (1013 normalizations at length 8) and nine
+    # separate tasks, one per depth-2 prefix (2227).
     import io
 
     from braidconway import cli
-    from braidconway.burau import BurauMatrix
 
-    calls = 0
-    det = BurauMatrix.det
-
-    def counted_det(self):
-        nonlocal calls
-        calls += 1
-        return det(self)
-
-    monkeypatch.setattr(BurauMatrix, "det", counted_det)
+    counts = _count_normalizations_and_determinants(monkeypatch)
     assert cli._scan(8, 2, io.StringIO(), io.StringIO()) == 0
     assert in_process_pool == [2]
-    assert calls == 1259
+    assert counts == {"normalize": 1259, "det": 0}
 
 
 def test_scan_value_ids_line_up_with_words():
