@@ -21,6 +21,7 @@ import json
 import os
 import random
 import sys
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from typing import TextIO
@@ -91,12 +92,16 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 #: A parallel scan splits the trie at this depth, into 3^3 = 27 prefixes.
 SPLIT_DEPTH = 3
 
+#: Each letter as a one-letter Word, to extend words by.
+_LETTER_BYTES = [bytes((letter,)) for letter in LETTERS]
+
 def _scan_subtree(
-    prefixes: tuple[Word, ...], max_len: int
+    prefixes: tuple[Sequence[int], ...], max_len: int
 ) -> dict[int, list[tuple[int, ...]]]:
     """Coefficient tuples of the words that extend prefixes up to max_len, by length.
 
-    prefixes are words of one length, in letter order.  The walk visits
+    prefixes are words of one length, in letter order, as any sequences
+    of letters; the walk extends them as bytes.  The walk visits
     each prefix's extension trie depth first in letter order, so each
     length's values come out in the lexicographic order of their words.
 
@@ -136,7 +141,7 @@ def _scan_subtree(
     # Records are made in letter order, so each names its first spelling.
     stack = [
         (prefix, braid_record(prefix, burau_rep(to_band_word(prefix))))
-        for prefix in prefixes
+        for prefix in map(bytes, prefixes)
     ]
     stack.reverse()
     while stack:
@@ -152,16 +157,18 @@ def _scan_subtree(
         if length < max_len:
             if children is None:
                 children = braid[2] = [
-                    braid_record(word + (letter,), matrix * letter_matrix)
+                    braid_record(word + _LETTER_BYTES[letter], matrix * letter_matrix)
                     for letter, letter_matrix in zip(LETTERS, letter_matrices)
                 ]
             # Pushed last letter first, so the first letter pops first.
             for letter in reversed(LETTERS):
-                stack.append((word + (letter,), children[letter]))
+                stack.append((word + _LETTER_BYTES[letter], children[letter]))
     return found
 
 
-def _scan_task(task: tuple[tuple[Word, ...], int]) -> dict[int, list[tuple[int, ...]]]:
+def _scan_task(
+    task: tuple[tuple[Sequence[int], ...], int]
+) -> dict[int, list[tuple[int, ...]]]:
     prefixes, max_len = task
     return _scan_subtree(prefixes, max_len)
 
@@ -189,11 +196,11 @@ def _scan(max_len: int, jobs: int, sink: TextIO, report: TextIO) -> int:
             workers = min(jobs, len(prefixes), os.cpu_count() or 1)
             cuts = [len(prefixes) * k // workers for k in range(workers + 1)]
             tasks = [(tuple(prefixes[a:b]), max_len) for a, b in zip(cuts, cuts[1:])]
-            parts = [_scan_subtree(((),), SPLIT_DEPTH - 1)]
+            parts = [_scan_subtree((b"",), SPLIT_DEPTH - 1)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 parts.extend(pool.map(_scan_task, tasks))
         else:
-            parts = [_scan_subtree(((),), max_len)]
+            parts = [_scan_subtree((b"",), max_len)]
     except ScanViolation as exc:
         print(f"scan aborted at word '{exc.word}': {exc.detail}", file=sys.stderr)
         return 1

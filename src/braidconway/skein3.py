@@ -12,9 +12,11 @@ successor here.  A cyclically adjacent pair of distinct letters is
 "descending" when the first is the successor of the second; the three
 descending pairs are precisely the three spellings of the relation above.
 
-In code the letters G12, G23, G13 are the ints 0, 1, 2, a word is a tuple
-of them, and the successor of x is (x + 1) % 3.  ``parse_word`` and
-``format_word`` spell the letters 1, 2, 13.
+In code the letters G12, G23, G13 are the ints 0, 1, 2, a word is a bytes
+object of them, and the successor of x is (x + 1) % 3.  ``parse_word`` and
+``format_word`` spell the letters 1, 2, 13.  ``conway_via_skein`` and
+``resolve`` take any sequence of letters and check it once as they make it
+bytes; ``classify_leaf`` and the resolution step take bytes only.
 
 The Conway polynomial of a closed positive band word resolves by a binary
 tree.  At a doubled letter (a "square") w = P x x Q the skein relation
@@ -45,6 +47,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import re
+from collections.abc import Sequence
 from functools import lru_cache
 from operator import add
 
@@ -74,7 +78,9 @@ __all__ = [
 #: The letters G12, G23, G13, in enumeration order wherever words are ordered.
 LETTERS = (0, 1, 2)
 
-Word = tuple[int, ...]
+#: A word: one byte per letter, so slices are copies of bytes and each
+#: word hashes once however often it keys a memo.
+Word = bytes
 
 #: The spelling of each letter.  Letters are looked up in dicts, not
 #: tuples, so that a negative int is refused rather than read from the end.
@@ -93,28 +99,50 @@ def parse_word(text: str) -> Word:
         if token not in _BY_TOKEN:
             raise ParseError(f"bad band letter {token!r}: expected 1, 2 or 13")
         out.append(_BY_TOKEN[token])
-    return tuple(out)
+    return bytes(out)
 
 
-def _not_a_letter(exc: KeyError) -> ValueError:
-    return ValueError(
-        f"not a three-strand letter: {exc.args[0]!r}, expected 0, 1 or 2"
-    )
+def _not_a_letter(letter) -> ValueError:
+    return ValueError(f"not a three-strand letter: {letter!r}, expected 0, 1 or 2")
 
 
-def format_word(w: Word) -> str:
+#: The letters as one bytes object: a Word stripped of them is empty.
+_ALPHABET = bytes(LETTERS)
+
+
+def _as_word(letters: Sequence[int]) -> Word:
+    """letters as a Word; any letter outside 0, 1, 2 raises ValueError.
+
+    Bytes come back as they are, unless they hold a foreign byte.  An int
+    is refused, as bytes() would read it as a count of zero bytes.
+    """
+    word = letters
+    if type(word) is not bytes:
+        if isinstance(word, int):
+            raise TypeError(f"a word is a sequence of letters, not the int {word}")
+        try:
+            word = bytes(word)
+        except ValueError:  # a letter outside 0..255
+            word = None
+    # rstrip stops at the last foreign byte, so only a clean word strips bare.
+    if word is None or word.rstrip(_ALPHABET):
+        raise _not_a_letter(next(x for x in letters if x not in _TOKENS))
+    return word
+
+
+def format_word(w: Sequence[int]) -> str:
     """Spell a word with the tokens 1, 2, 13; any other letter raises ValueError."""
     try:
         return " ".join([_TOKENS[letter] for letter in w])
     except KeyError as exc:
-        raise _not_a_letter(exc) from None
+        raise _not_a_letter(exc.args[0]) from None
 
 
 #: The band letter (i, j, sign) of each letter.
 _BAND_TRIPLE = {0: (1, 2, 1), 1: (2, 3, 1), 2: (1, 3, 1)}
 
 
-def to_band_word(w: Word) -> BandWord:
+def to_band_word(w: Sequence[int]) -> BandWord:
     """The same word as a positive BandWord on three strands.
 
     Any letter outside 0, 1, 2 raises ValueError.
@@ -122,11 +150,11 @@ def to_band_word(w: Word) -> BandWord:
     try:
         return BandWord(3, tuple([_BAND_TRIPLE[letter] for letter in w]))
     except KeyError as exc:
-        raise _not_a_letter(exc) from None
+        raise _not_a_letter(exc.args[0]) from None
 
 
 #: The ascending cycle that starts at each letter: (x, x + 1, x + 2) mod 3.
-_CYCLE = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+_CYCLE = (b"\x00\x01\x02", b"\x01\x02\x00", b"\x02\x00\x01")
 
 
 class LeafKind(enum.Enum):
@@ -139,7 +167,7 @@ class LeafKind(enum.Enum):
 
 
 def classify_leaf(w: Word) -> LeafKind | None:
-    """The leaf kind of w, or None when w still resolves further."""
+    """The leaf kind of the Word w, or None when w still resolves further."""
     length = len(w)
     if length == 0:
         return LeafKind.EMPTY
@@ -156,6 +184,14 @@ def classify_leaf(w: Word) -> LeafKind | None:
     return None
 
 
+#: The squares, and the descending pairs (x + 1, x), as byte patterns.
+_SQUARE = re.compile(b"\x00\x00|\x01\x01|\x02\x02")
+_DESCENDING = re.compile(b"\x01\x00|\x02\x01|\x00\x02")
+
+#: The descending pair (x + 1, x) that ends in each letter x.
+_RESPELLING = (b"\x01\x00", b"\x02\x01", b"\x00\x02")
+
+
 def _resolution_step(w: Word) -> tuple[Word, Word]:
     """The children of a non-leaf word under one skein move.
 
@@ -163,27 +199,30 @@ def _resolution_step(w: Word) -> tuple[Word, Word]:
     word without both of its letters, and with one.  Without a square, it
     first respells the leftmost descending cyclic pair as ((x + 1) % 3, x),
     x the letter after the pair, which plants a square one step to the
-    right.  A pair or a square that wraps around the end is first rotated
-    to the front, which conjugates the closure.  The letter cyclically
-    after w[pos] is w[pos + 1 - length], a negative index but for the last
-    position.
+    right.  A pair or a square that wraps around the end, (w[-1], w[0]),
+    comes after every interior one; it is first rotated to the front,
+    which conjugates the closure.
     """
     length = len(w)
-    for pos in range(length):
-        if w[pos] == w[pos + 1 - length]:
-            break
+    last = length - 1
+    found = _SQUARE.search(w)
+    if found is not None:
+        pos = found.start()
+    elif length and w[-1] == w[0]:
+        pos = last
     else:
-        for pos in range(length):
-            if (w[pos + 1 - length] + 1) % 3 == w[pos]:
-                break
+        found = _DESCENDING.search(w)
+        if found is not None:
+            pos = found.start()
+        elif length and w[-1] == (w[0] + 1) % 3:
+            pos = last
         else:
             raise Unresolvable(f"no move applies to {format_word(w)!r}")
-        if pos == length - 1:
+        if pos == last:
             w, pos = w[pos:] + w[:pos], 0
-        nxt = w[(pos + 2) % length]
-        w = w[:pos] + ((nxt + 1) % 3, nxt) + w[pos + 2 :]
+        w = w[:pos] + _RESPELLING[w[(pos + 2) % length]] + w[pos + 2 :]
         pos += 1
-    if pos == length - 1:
+    if pos == last:
         w, pos = w[pos:] + w[:pos], 0
     return w[:pos] + w[pos + 2 :], w[: pos + 1] + w[pos + 2 :]
 
@@ -250,8 +289,10 @@ class TreeTooLarge(ValueError):
     """A word's resolution tree has more than TREE_NODE_LIMIT nodes."""
 
 
-def resolve(w: Word) -> Node:
+def resolve(w: Sequence[int]) -> Node:
     """The full resolution tree of a word: its structure, not its values.
+
+    Any letter outside 0, 1, 2 raises ValueError; the nodes hold bytes.
 
     Equal subwords share one Node, so the tree takes one Node per distinct
     subword, however many leaves it has.  A word's distinct subwords never
@@ -269,7 +310,7 @@ def resolve(w: Word) -> Node:
             raise TreeTooLarge(f"resolution tree has more than {TREE_NODE_LIMIT} nodes")
         return Node(word, None, left, right, size)
 
-    return _fold(w, memo, make)
+    return _fold(_as_word(w), memo, make)
 
 
 def leaf_conway(leaf: LeafKind, k: int = 0) -> ZPoly:
@@ -422,9 +463,12 @@ _MEMO: dict[Word, ZPoly] = {}
 _MEMO_LIMIT = 2**17
 
 
-def conway_via_skein(w: Word, memo: dict[Word, ZPoly] | None = None) -> ZPoly:
+def conway_via_skein(
+    w: Sequence[int], memo: dict[Word, ZPoly] | None = None
+) -> ZPoly:
     """The Conway polynomial of the closure of w, by resolution.
 
+    Any letter outside 0, 1, 2 raises ValueError.
     memo maps subwords to their values and gains every proper subword of
     w's tree that it lacks, so sweeping many related words stays cheap;
     w's own value is not stored, since a sweep asks for each word once.
@@ -435,4 +479,4 @@ def conway_via_skein(w: Word, memo: dict[Word, ZPoly] | None = None) -> ZPoly:
     """
     if memo is None and len(_MEMO) > _MEMO_LIMIT:
         _MEMO.clear()
-    return _fold(w, _MEMO if memo is None else memo, _value)
+    return _fold(_as_word(w), _MEMO if memo is None else memo, _value)

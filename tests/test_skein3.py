@@ -44,18 +44,19 @@ def _successor(x):
 
 def test_successor_cycles():
     # G12 -> G23 -> G13 -> G12, spelled 1 -> 2 -> 13 -> 1.
-    assert parse_word("1 2 13") == (0, 1, 2)
+    assert parse_word("1 2 13") == b"\x00\x01\x02"
     assert _successor(0) == 1
     assert _successor(1) == 2
     assert _successor(2) == 0
     for x in LETTERS:
-        cycle = (x, _successor(x), _successor(_successor(x)))
+        cycle = bytes((x, _successor(x), _successor(_successor(x))))
         assert classify_leaf(cycle) == LeafKind.TRIPLE_POWER
 
 
 def test_parse_and_format():
-    assert w("1 2 13") == LETTERS == (0, 1, 2)
-    assert w("") == ()
+    assert w("1 2 13") == bytes(LETTERS) == b"\x00\x01\x02"
+    assert LETTERS == (0, 1, 2)
+    assert w("") == b""
     assert format_word(w("13 13 2")) == "13 13 2"
     with pytest.raises(ParseError):
         w("1 3")
@@ -70,13 +71,27 @@ def test_to_band_word():
     assert band.is_positive()
 
 
-@pytest.mark.parametrize("word", [(-1,), (-1, 0), (0, 3), (1, -3)])
+@pytest.mark.parametrize(
+    "word",
+    [(-1,), (-1, 0), (0, 3), (1, -3), (3,), (0, 0, 7), (-1, 0, 1), (-3, 1, 2)],
+)
 def test_foreign_letters_are_refused(word):
-    # A negative int must not be read as a letter counted from the end.
-    with pytest.raises(ValueError, match="not a three-strand letter"):
-        format_word(word)
-    with pytest.raises(ValueError, match="not a three-strand letter"):
-        to_band_word(word)
+    # A negative int must not be read as a letter counted from the end,
+    # nor a letter past 2 as a byte that matches no square or pair.
+    spellings = [word, list(word)]
+    if min(word) >= 0:
+        spellings.append(bytes(word))
+    for entry in (format_word, to_band_word, conway_via_skein, resolve):
+        for spelling in spellings:
+            with pytest.raises(ValueError, match="not a three-strand letter"):
+                entry(spelling)
+
+
+def test_an_int_is_not_a_word():
+    # bytes(3) would be three zero bytes, the word "1 1 1".
+    for entry in (conway_via_skein, resolve):
+        with pytest.raises(TypeError, match="not the int 3"):
+            entry(3)
 
 
 # --- leaves ------------------------------------------------------------------
@@ -121,13 +136,14 @@ def _reference_leaf(word):
 
 def test_classify_leaf_matches_the_pairwise_definition():
     for length in range(10):
-        for word in product(LETTERS, repeat=length):
+        for word in map(bytes, product(LETTERS, repeat=length)):
             assert classify_leaf(word) == _reference_leaf(word), format_word(word)
 
 
 def test_classify_leaf_refuses_foreign_first_letters():
     # A first letter outside 0, 1, 2 picks no cycle that the word can equal.
-    for word in [(3, 1, 2), (-1, 0, 1), (-3, 1, 2), (5, 0, 1, 2, 0, 1)]:
+    # Negative letters cannot be bytes: the entry points refuse them.
+    for word in map(bytes, [(3, 1, 2), (5, 0, 1, 2, 0, 1)]):
         assert classify_leaf(word) is _reference_leaf(word) is None
 
 
@@ -135,7 +151,7 @@ def test_skein_combine_matches_zpoly_arithmetic():
     # The combine step adds z * value(reduced) on raw coefficient tuples;
     # it must equal the same sum taken with ZPoly's own operators.
     for length in range(9):
-        for word in product(LETTERS, repeat=length):
+        for word in map(bytes, product(LETTERS, repeat=length)):
             leaf = _reference_leaf(word)
             if leaf is not None:
                 expected = leaf_conway(leaf, length // 3)
@@ -249,7 +265,7 @@ def _respell(word, t):
     # The descending pair (word[t], word[t + 1]) as ((x + 1) % 3, x), x the
     # letter after the pair: one letter of the braid, spelled another way.
     x = word[(t + 2) % len(word)]
-    return word[:t] + (_successor(x), x) + word[t + 2 :]
+    return word[:t] + bytes((_successor(x), x)) + word[t + 2 :]
 
 
 def _square_free_words(length):
@@ -260,7 +276,7 @@ def _square_free_words(length):
             for s in steps:
                 word.append((word[-1] + s) % 3)
             if word[-1] != word[0]:
-                yield tuple(word)
+                yield bytes(word)
 
 
 def _leftmost_descending(word):
@@ -301,7 +317,7 @@ def test_rewrite_preserves_closure_on_wraparound_pairs():
     for length in range(3, 12):
         # The only square wraps: (w[-1], w[0]).
         for inner in _square_free_words(length - 1):
-            word = inner + (inner[0],)
+            word = inner + inner[:1]
             rotated = rotate(word)
             assert conway(rotated) == conway(word)
             assert skein3._resolution_step(word) == _split(rotated, 0)
@@ -332,7 +348,7 @@ def test_step_obeys_the_skein_relation_on_the_matrix_route():
         return conway_via_burau(to_band_word(word))
 
     for length in range(8):
-        for word in product(LETTERS, repeat=length):
+        for word in map(bytes, product(LETTERS, repeat=length)):
             if classify_leaf(word) is None:
                 erased, reduced = skein3._resolution_step(word)
                 assert burau(word) == burau(erased) + Z * burau(reduced), format_word(
@@ -343,18 +359,64 @@ def test_step_obeys_the_skein_relation_on_the_matrix_route():
 def test_step_choices_are_pinned():
     # The exact children of every non-leaf word of length <= 8: the tree's
     # shape, and so the `tree` output, depends on them, not only its value.
+    # Words and children are hashed in their tuple spelling.
     digest = hashlib.sha256()
     count = 0
     for length in range(9):
         for word in product(LETTERS, repeat=length):
-            if classify_leaf(word) is None:
-                erased, reduced = skein3._resolution_step(word)
+            if classify_leaf(bytes(word)) is None:
+                erased, reduced = map(tuple, skein3._resolution_step(bytes(word)))
                 digest.update(f"{word} {erased} {reduced}\n".encode())
                 count += 1
     assert count == 9825
     assert digest.hexdigest() == (
         "a21407e890c2d6778fafa65febc7e17e36acbe35d3b58a86622a188f355bdf19"
     )
+
+
+def _tuple_loop_step(w):
+    # The resolution step as it was written on tuple words, with one
+    # Python loop per search: the reference that the byte patterns replace.
+    length = len(w)
+    for pos in range(length):
+        if w[pos] == w[pos + 1 - length]:
+            break
+    else:
+        for pos in range(length):
+            if (w[pos + 1 - length] + 1) % 3 == w[pos]:
+                break
+        else:
+            raise skein3.Unresolvable(format_word(w))
+        if pos == length - 1:
+            w, pos = w[pos:] + w[:pos], 0
+        nxt = w[(pos + 2) % length]
+        w = w[:pos] + ((nxt + 1) % 3, nxt) + w[pos + 2 :]
+        pos += 1
+    if pos == length - 1:
+        w, pos = w[pos:] + w[:pos], 0
+    return w[:pos] + w[pos + 2 :], w[: pos + 1] + w[pos + 2 :]
+
+
+def _same_step(word):
+    erased, reduced = skein3._resolution_step(bytes(word))
+    return (tuple(erased), tuple(reduced)) == _tuple_loop_step(tuple(word))
+
+
+def test_step_matches_the_tuple_loop_on_every_short_word():
+    count = 0
+    for length in range(11):
+        for word in product(LETTERS, repeat=length):
+            if classify_leaf(bytes(word)) is None:
+                assert _same_step(word), format_word(word)
+                count += 1
+    assert count == 88_554
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LETTERS), max_size=60))
+def test_step_matches_the_tuple_loop_on_long_words(word):
+    if classify_leaf(bytes(word)) is None:
+        assert _same_step(word), format_word(word)
 
 
 def test_an_ascending_cycle_offers_no_move():
@@ -426,6 +488,7 @@ def test_conway_via_skein_memoizes_subwords_not_the_word(monkeypatch):
                 yield from descendants(child)
 
     assert word not in memo
+    assert all(type(key) is bytes for key in memo)
     for node in descendants(tree):
         assert memo[node.word] == conway_via_skein(node.word)
     assert conway_via_skein(word, {}) == value
@@ -463,6 +526,7 @@ def test_module_memo_is_cleared_past_its_bound(monkeypatch):
         value = conway_via_skein(word)
         fresh = {}
         assert value == conway_via_skein(word, fresh), format_word(word)
+        assert all(type(key) is bytes for key in skein3._MEMO)
         if before > 20:
             cleared += 1
             assert skein3._MEMO == fresh, format_word(word)
