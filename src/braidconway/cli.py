@@ -107,29 +107,29 @@ def _scan_subtree(
 
     Many words spell the same braid (the 3^L words of length L give
     2^(L+1) - 1 braids), and the Burau matrix is faithful on three
-    strands, so each distinct (matrix, length) gets one record, made at
-    the first word that spells it: its matrix, its Conway value and,
-    once computed, the records of its three one-letter extensions.  That
-    is one product per distinct (braid, letter) pair, and one Conway
-    normalization and sign check per distinct braid; a negative value
-    stops the walk at the word whose record it is.  Every word's skein
-    value is still computed and compared exactly with its braid's
-    matrix value.  The walk's memos live for this call only; the skein
-    combine cache that it shares with the rest of the process is bounded
-    and pure, so what ran before a task can save it work but cannot
-    change its results.  The walk keeps an explicit stack, so no
-    function refers to itself and the memos go as soon as the call
-    returns.
+    strands, so each distinct matrix gets one record, made at the first
+    word that spells it: its matrix, its Conway value and, once computed,
+    the records of its three one-letter extensions.  That is one product
+    per distinct (braid, letter) pair, and one Conway normalization and
+    sign check per distinct braid; a negative value stops the walk at the
+    word whose record it is.  Every word's skein value is still computed
+    and compared exactly with its braid's matrix value.  The walk's memos
+    live for this call only; the skein combine cache that it shares with
+    the rest of the process is bounded and pure, so what ran before a
+    task can save it work but cannot change its results.  The walk keeps
+    an explicit stack, so no function refers to itself and the memos go
+    as soon as the call returns.
     """
     found: dict[int, list[tuple[int, ...]]] = {
         length: [] for length in range(len(prefixes[0]), max_len + 1)
     }
     letter_matrices = [burau_rep(to_band_word((letter,))) for letter in LETTERS]
     skein_memo: dict[Word, ZPoly] = {}
-    braids: dict[tuple[BurauMatrix, int], list] = {}
+    # A letter's matrix has determinant -s^2, so a matrix fixes its length.
+    braids: dict[BurauMatrix, list] = {}
 
     def braid_record(word: Word, matrix: BurauMatrix) -> list:
-        braid = braids.setdefault((matrix, len(word)), [matrix, None, None])
+        braid = braids.setdefault(matrix, [matrix, None, None])
         if braid[1] is None:
             # A positive band word's exponent sum is its length.
             value = conway_from_matrix(matrix, len(word))

@@ -14,9 +14,10 @@ descending pairs are precisely the three spellings of the relation above.
 
 In code the letters G12, G23, G13 are the ints 0, 1, 2, a word is a bytes
 object of them, and the successor of x is (x + 1) % 3.  ``parse_word`` and
-``format_word`` spell the letters 1, 2, 13.  ``conway_via_skein`` and
-``resolve`` take any sequence of letters and check it once as they make it
-bytes; ``classify_leaf`` and the resolution step take bytes only.
+``format_word`` spell the letters 1, 2, 13.  ``format_word``,
+``to_band_word``, ``conway_via_skein`` and ``resolve`` take any iterable of
+letters and make it bytes through ``_as_word``, the one check of a letter;
+``classify_leaf`` and the resolution step take bytes only.
 
 The Conway polynomial of a closed positive band word resolves by a binary
 tree.  At a doubled letter (a "square") w = P x x Q the skein relation
@@ -40,7 +41,8 @@ produces the same tree.
 One explicit-stack pass folds a tree from the leaves up, over a memo of
 subword results that its caller owns.  There are two folds:
 ``conway_via_skein`` folds values, and ``resolve`` builds nodes up to
-``TREE_NODE_LIMIT``.  Nothing recurses, so length sets no depth limit.
+``TREE_NODE_LIMIT``, each with its value, which the tree writers read.
+Nothing recurses, so length sets no depth limit.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable
 from functools import lru_cache
 from operator import add
 
@@ -82,10 +84,9 @@ LETTERS = (0, 1, 2)
 #: word hashes once however often it keys a memo.
 Word = bytes
 
-#: The spelling of each letter.  Letters are looked up in dicts, not
-#: tuples, so that a negative int is refused rather than read from the end.
-_TOKENS = {0: "1", 1: "2", 2: "13"}
-_BY_TOKEN = {token: letter for letter, token in _TOKENS.items()}
+#: The spelling of each letter, indexed by it.
+_TOKENS = ("1", "2", "13")
+_BY_TOKEN = {token: letter for letter, token in enumerate(_TOKENS)}
 
 
 class Unresolvable(RuntimeError):
@@ -102,55 +103,46 @@ def parse_word(text: str) -> Word:
     return bytes(out)
 
 
-def _not_a_letter(letter) -> ValueError:
-    return ValueError(f"not a three-strand letter: {letter!r}, expected 0, 1 or 2")
-
-
 #: The letters as one bytes object: a Word stripped of them is empty.
 _ALPHABET = bytes(LETTERS)
 
 
-def _as_word(letters: Sequence[int]) -> Word:
-    """letters as a Word; any letter outside 0, 1, 2 raises ValueError.
+def _as_word(letters: Iterable[int]) -> Word:
+    """letters as a Word, read once; the one check of a three-strand letter.
 
-    Bytes come back as they are, unless they hold a foreign byte.  An int
-    is refused, as bytes() would read it as a count of zero bytes.
+    Bytes come back as they are, unless they hold a foreign byte.  An int,
+    which bytes() would read as a count of zero bytes, and a letter that
+    is not an int raise TypeError; a letter outside 0, 1, 2 raises
+    ValueError.
     """
     word = letters
     if type(word) is not bytes:
         if isinstance(word, int):
             raise TypeError(f"a word is a sequence of letters, not the int {word}")
+        letters = tuple(letters)
         try:
-            word = bytes(word)
+            word = bytes(letters)
         except ValueError:  # a letter outside 0..255
             word = None
     # rstrip stops at the last foreign byte, so only a clean word strips bare.
     if word is None or word.rstrip(_ALPHABET):
-        raise _not_a_letter(next(x for x in letters if x not in _TOKENS))
+        letter = next(x for x in letters if x not in LETTERS)
+        raise ValueError(f"not a three-strand letter: {letter!r}, expected 0, 1 or 2")
     return word
 
 
-def format_word(w: Sequence[int]) -> str:
-    """Spell a word with the tokens 1, 2, 13; any other letter raises ValueError."""
-    try:
-        return " ".join([_TOKENS[letter] for letter in w])
-    except KeyError as exc:
-        raise _not_a_letter(exc.args[0]) from None
+def format_word(w: Iterable[int]) -> str:
+    """Spell a word with the tokens 1, 2, 13."""
+    return " ".join([_TOKENS[letter] for letter in _as_word(w)])
 
 
-#: The band letter (i, j, sign) of each letter.
-_BAND_TRIPLE = {0: (1, 2, 1), 1: (2, 3, 1), 2: (1, 3, 1)}
+#: The band letter (i, j, sign) of each letter, indexed by it.
+_BAND_TRIPLE = ((1, 2, 1), (2, 3, 1), (1, 3, 1))
 
 
-def to_band_word(w: Sequence[int]) -> BandWord:
-    """The same word as a positive BandWord on three strands.
-
-    Any letter outside 0, 1, 2 raises ValueError.
-    """
-    try:
-        return BandWord(3, tuple([_BAND_TRIPLE[letter] for letter in w]))
-    except KeyError as exc:
-        raise _not_a_letter(exc.args[0]) from None
+def to_band_word(w: Iterable[int]) -> BandWord:
+    """The same word as a positive BandWord on three strands."""
+    return BandWord(3, tuple([_BAND_TRIPLE[letter] for letter in _as_word(w)]))
 
 
 #: The ascending cycle that starts at each letter: (x, x + 1, x + 2) mod 3.
@@ -271,10 +263,12 @@ class Node:
     reached by the weight-1 edge (square erased) and the right by the
     weight-z edge (square reduced to one letter).  Equal subwords share
     one Node.  size counts the nodes of the subtree, 1 for a leaf, each
-    shared Node as often as it is reached.  A node holds no value.
+    shared Node as often as it is reached.  value is the Conway
+    polynomial of the word's closure.
     """
 
     word: Word
+    value: ZPoly
     leaf: LeafKind | None = None
     left: "Node | None" = None
     right: "Node | None" = None
@@ -289,10 +283,10 @@ class TreeTooLarge(ValueError):
     """A word's resolution tree has more than TREE_NODE_LIMIT nodes."""
 
 
-def resolve(w: Sequence[int]) -> Node:
-    """The full resolution tree of a word: its structure, not its values.
+def resolve(w: Iterable[int]) -> Node:
+    """The full resolution tree of a word, each node with its value.
 
-    Any letter outside 0, 1, 2 raises ValueError; the nodes hold bytes.
+    The nodes hold bytes, however the word was given.
 
     Equal subwords share one Node, so the tree takes one Node per distinct
     subword, however many leaves it has.  A word's distinct subwords never
@@ -304,11 +298,11 @@ def resolve(w: Sequence[int]) -> Node:
 
     def make(word: Word, kind: LeafKind | None, left: Node, right: Node) -> Node:
         if kind is not None:
-            return Node(word, kind)
+            return Node(word, leaf_conway(kind, len(word) // 3), kind)
         size = 1 + left.size + right.size
         if size > TREE_NODE_LIMIT or len(memo) > TREE_NODE_LIMIT:
             raise TreeTooLarge(f"resolution tree has more than {TREE_NODE_LIMIT} nodes")
-        return Node(word, None, left, right, size)
+        return Node(word, _combine(left.value, right.value), None, left, right, size)
 
     return _fold(_as_word(w), memo, make)
 
@@ -361,8 +355,6 @@ def tree_to_json(root: Node) -> dict:
     The top level repeats the input word and ends with the tree's total
     skein value as a coefficient list, so the footer is the last key.
     """
-    values: dict[Word, ZPoly] = {}  # one fold gives every word's value
-    values[root.word] = conway_via_skein(root.word, values)
     open_docs: list[dict] = []  # entered and not yet left
     for node, edge, entering in _walk(root):
         if not entering:
@@ -375,7 +367,7 @@ def tree_to_json(root: Node) -> dict:
             doc["leaf"] = node.leaf.value
             if node.leaf is LeafKind.TRIPLE_POWER:
                 doc["k"] = len(node.word) // 3
-            doc["value"] = list(values[node.word].coeffs)
+            doc["value"] = list(node.value.coeffs)
         else:
             doc["children"] = []
         if open_docs:
@@ -384,7 +376,7 @@ def tree_to_json(root: Node) -> dict:
     return {
         "word": format_word(root.word),
         "tree": doc,
-        "value": list(values[root.word].coeffs),
+        "value": list(root.value.coeffs),
     }
 
 
@@ -394,8 +386,6 @@ def tree_to_dot(root: Node) -> str:
     Leaves are boxes annotated with their kind and value; the graph label
     carries the total.  An edge is written when its child is left.
     """
-    values: dict[Word, ZPoly] = {}  # one fold gives every word's value
-    values[root.word] = conway_via_skein(root.word, values)
     lines = ["digraph resolution {", "  node [fontname=monospace];"]
     open_names: list[str] = []  # entered and not yet left
     entered = 0
@@ -411,12 +401,12 @@ def tree_to_dot(root: Node) -> str:
         if node.leaf is not None:
             lines.append(
                 f'  {name} [shape=box label="{label}\\n'
-                f'{node.leaf.value}: {values[node.word].render()}"];'
+                f'{node.leaf.value}: {node.value.render()}"];'
             )
         else:
             lines.append(f'  {name} [label="{label}"];')
         open_names.append(name)
-    lines.append(f'  label="conway: {values[root.word].render()}";')
+    lines.append(f'  label="conway: {root.value.render()}";')
     lines.append("}")
     return "\n".join(lines)
 
@@ -464,11 +454,10 @@ _MEMO_LIMIT = 2**17
 
 
 def conway_via_skein(
-    w: Sequence[int], memo: dict[Word, ZPoly] | None = None
+    w: Iterable[int], memo: dict[Word, ZPoly] | None = None
 ) -> ZPoly:
     """The Conway polynomial of the closure of w, by resolution.
 
-    Any letter outside 0, 1, 2 raises ValueError.
     memo maps subwords to their values and gains every proper subword of
     w's tree that it lacks, so sweeping many related words stays cheap;
     w's own value is not stored, since a sweep asks for each word once.

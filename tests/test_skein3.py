@@ -77,21 +77,26 @@ def test_to_band_word():
 )
 def test_foreign_letters_are_refused(word):
     # A negative int must not be read as a letter counted from the end,
-    # nor a letter past 2 as a byte that matches no square or pair.
-    spellings = [word, list(word)]
+    # nor a letter past 2 as a byte that matches no square or pair.  An
+    # iterator is read once, so the error names its letter all the same.
+    spellings = [tuple, list, iter]
     if min(word) >= 0:
-        spellings.append(bytes(word))
+        spellings.append(bytes)
     for entry in (format_word, to_band_word, conway_via_skein, resolve):
-        for spelling in spellings:
+        for spell in spellings:
             with pytest.raises(ValueError, match="not a three-strand letter"):
-                entry(spelling)
+                entry(spell(word))
 
 
 def test_an_int_is_not_a_word():
-    # bytes(3) would be three zero bytes, the word "1 1 1".
-    for entry in (conway_via_skein, resolve):
+    # bytes(3) would be three zero bytes, the word "1 1 1"; a float or a
+    # string is no letter, even where it equals or spells one.
+    for entry in (format_word, to_band_word, conway_via_skein, resolve):
         with pytest.raises(TypeError, match="not the int 3"):
             entry(3)
+        for word in [(1.0,), (0, 2.0), "1 2"]:
+            with pytest.raises(TypeError):
+                entry(word)
 
 
 # --- leaves ------------------------------------------------------------------
@@ -462,11 +467,14 @@ def test_tree_accounting():
         if node.leaf is not None:
             assert classify_leaf(node.word) == node.leaf
             assert node.size == 1
-            return leaf_conway(node.leaf, len(node.word) // 3)
-        assert len(node.left.word) == len(node.word) - 2
-        assert len(node.right.word) == len(node.word) - 1
-        assert node.size == 1 + node.left.size + node.right.size
-        return check(node.left) + Z * check(node.right)
+            value = leaf_conway(node.leaf, len(node.word) // 3)
+        else:
+            assert len(node.left.word) == len(node.word) - 2
+            assert len(node.right.word) == len(node.word) - 1
+            assert node.size == 1 + node.left.size + node.right.size
+            value = check(node.left) + Z * check(node.right)
+        assert node.value == value
+        return value
 
     for _ in range(40):
         word = _random_word(rng, 9)
@@ -646,11 +654,17 @@ def test_tree_output_of_every_short_word_is_pinned():
     )
 
 
-def test_tree_writers_fold_over_their_own_memo(monkeypatch):
-    # The writers fold each tree's values once, and leave the module-wide
-    # memo alone.
+def test_tree_writers_read_the_values_that_resolve_made(monkeypatch):
+    # The writers resolve no word again, as each node carries its value,
+    # and leave the module-wide memo alone.
     monkeypatch.setattr(skein3, "_MEMO", {})
-    tree = resolve(w("1 2 1 2 13 2 2 1"))
+    tree = resolve(w("2 1 13 13 13 2 1 1 2 2 13 2 1 2 1 1 1 2 13 13 13 2 1 13"))
+    classified = []
+    classify = skein3.classify_leaf
+    monkeypatch.setattr(
+        skein3, "classify_leaf", lambda v: classified.append(v) or classify(v)
+    )
     tree_to_json(tree)
     tree_to_dot(tree)
+    assert tree.size == 98_217 and classified == []
     assert skein3._MEMO == {}
