@@ -65,10 +65,9 @@ class InternalInconsistency(RuntimeError):
 class BurauMatrix:
     """A square matrix over the Laurent ring, tagged with its strand count.
 
-    The size is n - 1, so the 2-strand group gets 1x1 matrices.  The hash
-    and the columns that differ from the identity's are found on first
-    use and kept: matrices are dictionary keys in the scan, and a letter
-    matrix is the right factor of many products.
+    The size is n - 1, so the 2-strand group gets 1x1 matrices.  The
+    columns that differ from the identity's are found on first use and
+    kept: a letter matrix is the right factor of many products.
     """
 
     n: int
@@ -97,20 +96,14 @@ class BurauMatrix:
     @classmethod
     def identity(cls, n: int) -> BurauMatrix:
         size = n - 1
-        return cls(
-            n,
-            tuple(
+        try:
+            rows = tuple(
                 (_ZERO,) * r + (_ONE,) + (_ZERO,) * (size - 1 - r)
                 for r in range(size)
-            ),
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.n, self.entries))
+            )
+        except OverflowError:
+            raise IndexOutOfRange(f"{n} strands are too many to index a matrix") from None
+        return cls(n, rows)
 
     @cached_property
     def _moved_columns(self) -> tuple[tuple[int, tuple[LaurentPoly, ...]], ...]:
@@ -233,11 +226,7 @@ def burau_generator(i: int, n: int, sign: int = 1) -> BurauMatrix:
 
 @lru_cache(maxsize=_LETTER_MEMO_SIZE)
 def _band_letter_matrix(i: int, j: int, sign: int, n: int) -> BurauMatrix:
-    word = BandWord(n, ((i, j, sign),)).to_artin()
-    m = BurauMatrix.identity(n)
-    for idx, s in word.letters:
-        m = m * burau_generator(idx, n, s)
-    return m
+    return burau_rep(BandWord(n, ((i, j, sign),)).to_artin())
 
 
 def burau_rep(word: ArtinWord | BandWord) -> BurauMatrix:

@@ -190,10 +190,10 @@ def _scan(max_len: int, jobs: int, sink: TextIO, report: TextIO) -> int:
     # one set of memos, and sends back coefficient tuples, not records; the
     # parts come back in prefix order, so the records below are the same
     # bytes for every job count.
+    workers = min(jobs, 3**SPLIT_DEPTH, os.cpu_count() or 1) if max_len >= SPLIT_DEPTH else 1
     try:
-        if jobs > 1 and max_len >= SPLIT_DEPTH:
+        if workers > 1:
             prefixes = list(product(LETTERS, repeat=SPLIT_DEPTH))
-            workers = min(jobs, len(prefixes), os.cpu_count() or 1)
             cuts = [len(prefixes) * k // workers for k in range(workers + 1)]
             tasks = [(tuple(prefixes[a:b]), max_len) for a, b in zip(cuts, cuts[1:])]
             parts = [_scan_subtree((b"",), SPLIT_DEPTH - 1)]

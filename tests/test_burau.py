@@ -199,18 +199,6 @@ def test_moved_columns_make_no_truth_test(monkeypatch):
     assert calls == 0
 
 
-def test_matrix_hashes_its_entries_once(monkeypatch):
-    m = burau_rep(parse_artin("1 -2 3 2", 4))
-    calls = []
-    entry_hash = LaurentPoly.__hash__
-    monkeypatch.setattr(
-        LaurentPoly, "__hash__", lambda self: calls.append(1) or entry_hash(self)
-    )
-    table = {m: "m"}
-    assert table[m] == "m"
-    assert len(calls) == 9
-
-
 def test_the_public_constructor_still_checks_the_shape():
     for entries in ((), ((ONE,),), ((ONE, ZERO), (ONE,)), ((ONE, ZERO, ZERO),) * 3):
         with pytest.raises(ValueError):

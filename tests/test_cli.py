@@ -1,6 +1,8 @@
 """The command line surface: output formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import braidconway
 from braidconway import claims
@@ -63,14 +67,18 @@ def test_conway_rejects_index_out_of_range(capsys):
         ("--band", "3:1", "4", "i < j, got 3:1"),
         ("--band", "-2:2", "4", "i < j, got 2:2"),
         ("--band", "1:2", "1", "at least 2 strands, got 1"),
+        ("--artin", "1", "9" * 20, "9" * 20 + " strands are too many"),
+        ("--band", "1:" + "9" * 20, "9" * 20, "9" * 20 + " strands are too many"),
     ],
 )
 def test_conway_names_a_bad_letter_and_exits_2(capsys, alphabet, word, strands, named):
     # The parsers only tokenize; ArtinWord and BandWord check every letter.
+    # A strand count too large to index passes them, and the matrix route
+    # refuses it.
     code, out, err = run(capsys, "conway", f"{alphabet}={word}", "-n", strands)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and named in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
 def test_conway_requires_exactly_one_alphabet():
@@ -623,6 +631,24 @@ def test_scan_clamps_jobs_to_its_tasks(capsys, tmp_path, monkeypatch, in_process
     assert single.read_bytes() == wide.read_bytes()
 
 
+def test_scan_on_a_one_cpu_host_forks_no_pool(capsys, tmp_path, monkeypatch, in_process_pool):
+    # One worker walks the whole trie in this process, as --jobs 1 does,
+    # rather than one pool worker beside the walk of the short words.
+    from braidconway import cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    outputs = []
+    for jobs in ("1", "2"):
+        out_path = tmp_path / f"scan-{jobs}.jsonl"
+        code, out, err = run(
+            capsys, "scan", "--max-len", "4", "--out", str(out_path), "--jobs", jobs
+        )
+        assert (code, err) == (0, "")
+        outputs.append((out_path.read_bytes(), out))
+    assert in_process_pool == []
+    assert outputs[0] == outputs[1]
+
+
 def test_scan_bytes_are_the_same_for_every_job_count(capsys, tmp_path, in_process_pool):
     # Covers --max-len below the split depth with --jobs > 1, --max-len
     # exactly at it, groups of one prefix (27 jobs) and more jobs than
@@ -648,8 +674,6 @@ def test_parallel_scan_walks_each_group_once(monkeypatch, in_process_pool):
     # groups are normalized once in each, so the count lies between one
     # walk of all words (1013 normalizations at length 8) and nine
     # separate tasks, one per depth-2 prefix (2227).
-    import io
-
     from braidconway import cli
 
     counts = _count_normalizations_and_determinants(monkeypatch)
@@ -747,6 +771,68 @@ def test_scan_validates_flags():
     with pytest.raises(SystemExit) as info:
         main(["scan", "--max-len", "3", "--jobs", "0"])
     assert info.value.code == 2
+
+
+# --- any argv -------------------------------------------------------------------
+
+_TOKENS = (
+    "1", "-2", "13", "1:2", "-1:3", "0", "-0", "2:1", "1:", "x", "\u0663",
+    "12345678901234567890", "1:12345678901234567890",
+)
+
+_words = st.lists(st.sampled_from(_TOKENS), max_size=6).map(" ".join)
+
+
+def _argvs():
+    """argv lists over the four subcommands, valid and not.
+
+    The strand counts leave out everything between 8 and 10**20.  A count
+    from about 10**5 up to 2**63 passes every check and makes the matrix
+    route ask for an (N-1)x(N-1) identity, which exhausts memory before
+    any answer or refusal; 10**20 is past what a tuple can index, so it
+    is refused at once.
+    """
+    conway = st.builds(
+        lambda n, alphabet, word: ["conway", "-n", n, f"{alphabet}={word}"],
+        st.sampled_from(("-1", "0", "1", "2", "3", "5", "8", str(10**20))),
+        st.sampled_from(("--artin", "--band")),
+        _words,
+    )
+    tree = st.builds(
+        lambda letters, fmt: ["tree", " ".join(letters), *fmt],
+        st.one_of(
+            st.lists(st.sampled_from(("1", "2", "13")), max_size=10),
+            st.lists(st.sampled_from(_TOKENS), max_size=10),
+        ),
+        st.sampled_from(((), ("--format", "dot"))),
+    )
+    scan = st.builds(
+        lambda max_len, jobs: ["scan", "--max-len", str(max_len), "--jobs", str(jobs)],
+        st.integers(-1, 3),
+        st.integers(0, 1),
+    )
+    verify = st.builds(
+        lambda seed: ["verify", f"--seed={seed}"],
+        st.sampled_from(("x", "", "1.5", "0x10", "\u0663x")),
+    )
+    return st.one_of(conway, tree, scan, verify)
+
+
+@settings(max_examples=200, deadline=None)
+@example(["conway", "-n", str(10**20), "--artin=1"])
+@given(_argvs())
+def test_no_argv_ends_in_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
 
 
 # --- verify ---------------------------------------------------------------------
