@@ -13,6 +13,7 @@ exactly as written; no free reduction or normal form is ever applied.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import TypeVar
 
 __all__ = [
@@ -55,6 +56,10 @@ class _Word:
     letters: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
+        # The one read of n and of every letter entry: each must be an int.
+        letters = tuple(tuple(map(operator.index, x)) for x in self.letters)
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "letters", letters)
         if self.n < 2:
             raise IndexOutOfRange(f"need at least 2 strands, got {self.n}")
         self._check_letters()
@@ -101,7 +106,6 @@ class ArtinWord(_Word):
     """
 
     def _check_letters(self) -> None:
-        object.__setattr__(self, "letters", tuple((i, s) for i, s in self.letters))
         for i, s in self.letters:
             if not 1 <= i <= self.n - 1:
                 raise IndexOutOfRange(
@@ -126,9 +130,6 @@ class BandWord(_Word):
     """
 
     def _check_letters(self) -> None:
-        object.__setattr__(
-            self, "letters", tuple((i, j, s) for i, j, s in self.letters)
-        )
         for i, j, s in self.letters:
             if i >= j:
                 raise NotOrdered(f"band generator needs i < j, got {i}:{j}")

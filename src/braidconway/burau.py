@@ -33,6 +33,7 @@ from functools import cached_property, lru_cache
 
 from .braid import ArtinWord, BandWord, IndexOutOfRange
 from .polyring import (
+    Z,
     LaurentPoly,
     NotDivisible,
     NotInImage,
@@ -196,13 +197,6 @@ def _generator_matrix(i: int, n: int, sign: int) -> BurauMatrix:
     return BurauMatrix(n, tuple(tuple(row) for row in grid))
 
 
-#: Entries kept by each of the letter-matrix caches below.  A round of 20
-#: band words on 4 to 7 strands meets all 36 generators and all 104 band
-#: letters of those strand counts.
-_LETTER_MEMO_SIZE = 256
-
-
-@lru_cache(maxsize=_LETTER_MEMO_SIZE)
 def burau_generator(i: int, n: int, sign: int = 1) -> BurauMatrix:
     """The reduced Burau matrix of sigma_i^sign on n strands.
 
@@ -210,12 +204,9 @@ def burau_generator(i: int, n: int, sign: int = 1) -> BurauMatrix:
     holds -s^2 on the diagonal, flanked by s^2 above and 1 below where
     those rows exist; for sigma_i^-1 it holds -s^-2, flanked by 1 above and
     s^-2 below.  The two are checked to multiply to the identity, a
-    product that moves no column, before the result is cached.
+    product that moves no column.  ArtinWord checks the letter.
     """
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"generator index {i} out of range on {n} strands")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    ((i, sign),) = ArtinWord(n, ((i, sign),)).letters
     pair = {s: _generator_matrix(i, n, s) for s in (1, -1)}
     if (pair[1] * pair[-1])._moved_columns:
         raise InternalInconsistency(
@@ -224,24 +215,29 @@ def burau_generator(i: int, n: int, sign: int = 1) -> BurauMatrix:
     return pair[sign]
 
 
+#: Entries kept by the one letter-matrix cache below.  A round of 20 band
+#: words on 4 to 7 strands meets all 36 generators and all 104 band
+#: letters of those strand counts.
+_LETTER_MEMO_SIZE = 256
+
+
 @lru_cache(maxsize=_LETTER_MEMO_SIZE)
-def _band_letter_matrix(i: int, j: int, sign: int, n: int) -> BurauMatrix:
-    return burau_rep(BandWord(n, ((i, j, sign),)).to_artin())
+def _letter_matrix(n: int, letter: tuple[int, ...]) -> BurauMatrix:
+    """The matrix of one checked Artin letter (i, s) or band letter (i, j, s)."""
+    if len(letter) == 2:
+        return burau_generator(letter[0], n, letter[1])
+    return burau_rep(BandWord(n, (letter,)).to_artin())
 
 
 def burau_rep(word: ArtinWord | BandWord) -> BurauMatrix:
     """The matrix of a word: the product of its letters' matrices.
 
-    The empty word maps to the identity.  Band letters go through their
-    Artin expansion, cached per letter.
+    The empty word maps to the identity.  Each letter's matrix comes from
+    one cache; a band letter's is the product of its Artin expansion.
     """
     m = BurauMatrix.identity(word.n)
-    if isinstance(word, BandWord):
-        for i, j, s in word.letters:
-            m = m * _band_letter_matrix(i, j, s, word.n)
-        return m
-    for i, s in word.letters:
-        m = m * burau_generator(i, word.n, s)
+    for letter in word.letters:
+        m = m * _letter_matrix(word.n, letter)
     return m
 
 
@@ -303,4 +299,4 @@ def full_twist_difference(e: int, k: int) -> ZPoly:
     total = ZPoly()
     for i in range(k):
         total = total + fibonacci_poly(e + 6 * i + 4) + fibonacci_poly(e + 6 * i + 2)
-    return ZPoly((0, 1)) * total
+    return Z * total

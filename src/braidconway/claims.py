@@ -15,6 +15,7 @@ from itertools import product
 from .braid import ArtinWord, half_twist, parse_artin, parse_band
 from .burau import BurauMatrix, burau_rep, conway_via_burau, full_twist_difference
 from .polyring import (
+    Z_IN_S,
     LaurentPoly,
     ZPoly,
     fibonacci_poly,
@@ -82,9 +83,8 @@ def check_band_relation(rng: random.Random) -> None:
 
 
 def check_bracket_telescopes(rng: random.Random) -> None:
-    z_in_s = LaurentPoly({-1: 1, 1: -1})
     for n in range(1, 13):
-        if quantum_bracket(n) * z_in_s != LaurentPoly({-n: 1, n: -1}):
+        if quantum_bracket(n) * Z_IN_S != LaurentPoly({-n: 1, n: -1}):
             raise ClaimFailed(f"bracket failed to telescope at n={n}")
 
 

@@ -65,6 +65,10 @@ def test_artin_word_validates_letters():
         ArtinWord(1, ())
     with pytest.raises(ValueError):
         ArtinWord(3, ((1, 2),))
+    # A non-int strand count or entry is refused here, before any matrix.
+    for n, letters in ((3, ((1.0, 1),)), (3, ((1, 1.0),)), (3.0, ((1, 1),))):
+        with pytest.raises(TypeError):
+            ArtinWord(n, letters)
 
 
 def test_band_word_validates_letters():
@@ -72,6 +76,12 @@ def test_band_word_validates_letters():
         BandWord(4, ((3, 2, 1),))
     with pytest.raises(IndexOutOfRange):
         BandWord(4, ((0, 2, 1),))
+    with pytest.raises(ValueError, match="letter sign must be"):
+        BandWord(4, ((1, 2, 2),))
+    # A non-int strand count or entry is refused here, before any matrix.
+    for n, letters in ((4, ((1, 2.5, 1),)), (4.0, ())):
+        with pytest.raises(TypeError):
+            BandWord(n, letters)
 
 
 def test_exponent_sums():

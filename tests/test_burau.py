@@ -68,6 +68,12 @@ def test_generator_index_validation():
         burau_generator(3, 3)
     with pytest.raises(IndexOutOfRange):
         burau_generator(0, 3)
+    with pytest.raises(ValueError, match="letter sign must be"):
+        burau_generator(1, 3, 2)
+    # ArtinWord reads the letter, so a float never reaches the matrix code.
+    for args in ((1.0, 3), (1, 3.0), (1, 3, 1.0)):
+        with pytest.raises(TypeError):
+            burau_generator(*args)
 
 
 def test_inverses_multiply_to_identity():
@@ -83,19 +89,14 @@ def test_generator_identity_check_catches_a_wrong_inverse(monkeypatch):
     broken = dict(burau._GENERATOR_COLUMN)
     broken[-1] = ({0: 1}, {-2: -1}, {-2: -1})
     monkeypatch.setattr(burau, "_GENERATOR_COLUMN", broken)
-    burau_generator.cache_clear()
-    try:
-        with pytest.raises(InternalInconsistency):
-            burau_generator(1, 3)
-        with pytest.raises(InternalInconsistency):
-            burau_generator(1, 3, -1)
-    finally:
-        burau_generator.cache_clear()
+    with pytest.raises(InternalInconsistency):
+        burau_generator(1, 3)
+    with pytest.raises(InternalInconsistency):
+        burau_generator(1, 3, -1)
 
 
 def test_letter_caches_are_bounded():
-    for cached in (burau_generator, burau._band_letter_matrix):
-        assert cached.cache_info().maxsize is not None
+    assert burau._letter_matrix.cache_info().maxsize is not None
 
 
 def _dense_product(a, b):
@@ -168,7 +169,7 @@ def test_moved_columns_match_an_entry_by_entry_reference():
         for sign in (1, -1):
             letters += [burau_generator(i, n, sign) for i in range(1, n)]
             letters += [
-                burau._band_letter_matrix(i, j, sign, n)
+                burau._letter_matrix(n, (i, j, sign))
                 for i in range(1, n)
                 for j in range(i + 1, n + 1)
             ]
@@ -205,6 +206,8 @@ def test_the_public_constructor_still_checks_the_shape():
             BurauMatrix(3, entries)
     with pytest.raises(ValueError):
         BurauMatrix(1, ())
+    with pytest.raises(ValueError, match="cannot multiply matrices for 3 and 4"):
+        BurauMatrix.identity(3) * BurauMatrix.identity(4)
 
 
 def test_products_behave_like_validated_matrices():
@@ -518,6 +521,8 @@ def test_full_twist_difference_frozen_values():
     # At e=-6, k=2 the four Fibonacci terms cancel in pairs.
     assert full_twist_difference(-6, 2) == ZPoly()
     assert full_twist_difference(5, 0) == ZPoly()
+    with pytest.raises(ValueError, match="need k >= 0"):
+        full_twist_difference(0, -1)
 
 
 def test_full_twist_difference_matches_matrix_route():

@@ -398,8 +398,8 @@ def test_scan_takes_one_product_per_braid_and_letter(monkeypatch):
         calls += 1
         return mul(self, other)
 
-    # An uncounted walk first: the process-wide burau_generator and
-    # _band_letter_matrix caches take 8 products of their own when cold,
+    # An uncounted walk first: the process-wide letter-matrix cache
+    # burau._letter_matrix takes 8 products of its own when cold,
     # and the count below is the walk's alone, whatever ran before.
     cli._scan_subtree(((),), 0)
     monkeypatch.setattr(BurauMatrix, "__mul__", counted_mul)
@@ -844,12 +844,18 @@ def test_verify_passes(capsys):
     assert "all claims pass" in out
     assert "FAIL" not in out
     assert out.count("PASS") == 9
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a2a4fec04ff63a40d7bbe34597c72746558076c07726316b1ae24d2cc2b4fc41"
+    )
 
 
 def test_verify_seed_flag_is_echoed(capsys):
     code, out, err = run(capsys, "verify", "--seed", "42")
     assert code == 0
     assert out.startswith("seed: 42\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "16fd9e1216dbf2acebf0b27bfb1b09f459e8e866fd4af9151393b3c228ab0ac0"
+    )
 
 
 def test_verify_seed_env_var(capsys, monkeypatch):

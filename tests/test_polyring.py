@@ -55,6 +55,8 @@ def test_term_and_getitem():
 def test_zero_has_no_exponents():
     with pytest.raises(ValueError):
         _ = LaurentPoly().min_exp
+    with pytest.raises(ValueError):
+        _ = LaurentPoly().max_exp
 
 
 def test_product_example():

@@ -213,6 +213,8 @@ def test_odd_cycle_leaf_matches_matrix_route():
 def test_triple_power_needs_positive_k():
     with pytest.raises(ValueError):
         leaf_conway(LeafKind.TRIPLE_POWER, 0)
+    with pytest.raises(ValueError, match="unknown leaf kind"):
+        leaf_conway("triple-power", 1)
 
 
 # --- the resolution step ------------------------------------------------------
