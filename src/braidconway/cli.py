@@ -113,7 +113,9 @@ def _scan_subtree(
     per distinct (braid, letter) pair, and one Conway normalization and
     sign check per distinct braid; a negative value stops the walk at the
     word whose record it is.  Every word's skein value is still computed
-    and compared exactly with its braid's matrix value.  The walk's memos
+    and compared exactly with its braid's matrix value: the skein memo
+    shares its children's values between spellings of one braid, but
+    each word still takes its own resolution step.  The walk's memos
     live for this call only; the skein combine cache that it shares with
     the rest of the process is bounded and pure, so what ran before a
     task can save it work but cannot change its results.  The walk keeps

@@ -43,6 +43,13 @@ subword results that its caller owns.  There are two folds:
 ``conway_via_skein`` folds values, and ``resolve`` builds nodes up to
 ``TREE_NODE_LIMIT``, each with its value, which the tree writers read.
 Nothing recurses, so length sets no depth limit.
+
+A value depends only on the braid, and many subwords spell one braid, so
+``conway_via_skein`` also keys its memo on each subword's braid: its left
+normal form delta^p u (Birman, Ko and Lee), delta = G23 G12 written as the
+byte 3, which no letter is.  A subword met under another spelling of a
+braid already folded is not resolved again.  ``resolve`` keys on words
+only, as each of its nodes carries its own word.
 """
 
 from __future__ import annotations
@@ -184,6 +191,51 @@ _DESCENDING = re.compile(b"\x01\x00|\x02\x01|\x00\x02")
 _RESPELLING = (b"\x01\x00", b"\x02\x01", b"\x00\x02")
 
 
+#: The byte that stands for delta = G23 G12 in a normal form; no letter is 3.
+_DELTA = b"\x03"
+
+#: Each letter x minus k, mod 3, indexed by k and then by x.
+_MINUS = tuple(tuple((x - k) % 3 for x in LETTERS) for k in LETTERS)
+
+#: The translation that adds k to every letter, mod 3, indexed by k.
+_PLUS = tuple(
+    bytes.maketrans(_ALPHABET, bytes((x + k) % 3 for x in LETTERS)) for k in LETTERS
+)
+
+
+def _normal_form(w: Word) -> bytes:
+    """The left normal form delta^p u of the braid that w spells, as _DELTA * p + u.
+
+    Each descending pair spells delta, and x delta = delta ((x + 1) % 3),
+    so a descending pair moves to the front as delta and shifts every
+    letter before it by one; u is left with no descending adjacent pair.
+    Two positive words give one form exactly when they spell one braid
+    (Birman, Ko and Lee's left normal form, on three strands).  A word
+    with no descending pair is its own form, returned as it is.
+    """
+    # _RESPELLING holds the three descending pairs.
+    if _RESPELLING[0] not in w and _RESPELLING[1] not in w and _RESPELLING[2] not in w:
+        return w
+    # u is a stack of letters, each kept minus p, so that a new delta
+    # shifts them all without touching one; 3 marks its bottom.  The top
+    # and a letter x make a descending pair when the top, kept, is
+    # (x - (p - 1)) % 3.
+    p = 0
+    u = [3]
+    top = 3
+    kept, descends_from = _MINUS[0], _MINUS[2]
+    for x in w:
+        if top == descends_from[x]:
+            u.pop()
+            top = u[-1]
+            p += 1
+            kept, descends_from = _MINUS[p % 3], _MINUS[(p - 1) % 3]
+        else:
+            top = kept[x]
+            u.append(top)
+    return _DELTA * p + bytes(u[1:]).translate(_PLUS[p % 3])
+
+
 def _resolution_step(w: Word) -> tuple[Word, Word]:
     """The children of a non-leaf word under one skein move.
 
@@ -219,40 +271,52 @@ def _resolution_step(w: Word) -> tuple[Word, Word]:
     return w[:pos] + w[pos + 2 :], w[: pos + 1] + w[pos + 2 :]
 
 
-def _fold(w: Word, memo: dict, make):
+def _fold(w: Word, memo: dict, make, normal=None):
     """Fold w's resolution tree from the leaves up, with an explicit stack.
 
     A word's result is make(word, kind, erased_result, reduced_result),
     with kind None for inner words and both results None for leaves; make
     never returns None.  memo maps proper subwords to results and gains
-    each one it lacks, so equal subtrees fold once; w's own result is
-    returned, not stored.  ``classify_leaf`` runs once for w and once per
-    memo miss.
+    each one that the fold meets, so equal subtrees fold once; w's own
+    result is returned, not stored.
+
+    With normal, a function from a word to a key that only words of the
+    same value share, a subword that the memo lacks is looked up under
+    its key before it is resolved, and a resolved subword is stored under
+    both, so every spelling of one key folds once.  ``classify_leaf`` runs
+    once for w and once per subword resolved.
     """
     kind = classify_leaf(w)
     if kind is not None:
         return make(w, kind, None, None)
     # The words above the current one, each waiting for a child's result.
     stack = []
-    word = w
+    word = key = w
     erased, reduced = _resolution_step(w)
     while True:
         lo, hi = memo.get(erased), memo.get(reduced)
         if lo is None or hi is None:
             child = erased if lo is None else reduced
+            child_key = child if normal is None else normal(child)
+            # A word that is its own key has just missed.
+            if child_key is not child:
+                result = memo.get(child_key)
+                if result is not None:
+                    memo[child] = result
+                    continue
             kind = classify_leaf(child)
             if kind is None:
-                stack.append((word, erased, reduced))
-                word = child
+                stack.append((word, key, erased, reduced))
+                word, key = child, child_key
                 erased, reduced = _resolution_step(child)
             else:
-                memo[child] = make(child, kind, None, None)
+                memo[child] = memo[child_key] = make(child, kind, None, None)
             continue
         result = make(word, None, lo, hi)
         if not stack:
             return result
-        memo[word] = result
-        word, erased, reduced = stack.pop()
+        memo[word] = memo[key] = result
+        word, key, erased, reduced = stack.pop()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -412,9 +476,9 @@ def tree_to_dot(root: Node) -> str:
 
 
 #: Entries kept by the combine cache.  Inner words see few distinct pairs
-#: of child values: ``scan --max-len 9`` combines 39 330 times on 129
-#: pairs (443 at length 11), a 25-word ``long`` round about 40 000 times
-#: on 1746, and 100 such words meet 4042.
+#: of child values: ``scan --max-len 9`` combines 30 504 times on 129
+#: pairs (443 at length 11), a 25-word ``long`` round 3138 times on 1278,
+#: and 100 such words meet 3269.
 _COMBINE_MEMO_SIZE = 4096
 
 
@@ -445,11 +509,11 @@ def _value(word: Word, kind: LeafKind | None, lo: ZPoly, hi: ZPoly) -> ZPoly:
     return _combine(lo, hi) if kind is None else leaf_conway(kind, len(word) // 3)
 
 
-#: The memo of subword values that conway_via_skein uses by default.
+#: The memo of subword and braid values that conway_via_skein uses by default.
 _MEMO: dict[Word, ZPoly] = {}
 
 #: Entries past which conway_via_skein clears _MEMO before it folds.  A
-#: 25-word ``long`` round fills about 41 000; a fresh memo per word is slower.
+#: 25-word ``long`` round fills about 8300; a fresh memo per word is slower.
 _MEMO_LIMIT = 2**17
 
 
@@ -458,9 +522,12 @@ def conway_via_skein(
 ) -> ZPoly:
     """The Conway polynomial of the closure of w, by resolution.
 
-    memo maps subwords to their values and gains every proper subword of
-    w's tree that it lacks, so sweeping many related words stays cheap;
-    w's own value is not stored, since a sweep asks for each word once.
+    memo maps subwords, and the normal forms of their braids, to their
+    values.  A proper subword of w's tree that it lacks is looked up by
+    its braid, and resolved only when that misses too; it is then stored
+    under both keys, so sweeping many related words stays cheap.  w
+    itself always takes its own resolution step, and its value is not
+    stored, since a sweep asks for each word once.
     Without a memo, a module-wide one is used, which lives as long as the
     process and is cleared before a fold once it holds more than
     _MEMO_LIMIT entries.  The value returned may be one object shared with
@@ -468,4 +535,4 @@ def conway_via_skein(
     """
     if memo is None and len(_MEMO) > _MEMO_LIMIT:
         _MEMO.clear()
-    return _fold(_as_word(w), _MEMO if memo is None else memo, _value)
+    return _fold(_as_word(w), _MEMO if memo is None else memo, _value, _normal_form)

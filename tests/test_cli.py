@@ -381,6 +381,29 @@ def test_scan_skein_memo_lives_for_one_walk(monkeypatch):
     assert counts[0] == counts[1] > 3**6
 
 
+def test_scan_takes_each_words_own_resolution_step(monkeypatch):
+    # Spellings of one braid share their children's values, but every
+    # scanned word that is not a leaf still takes its own step, so each
+    # word's step is checked against its braid's matrix value.
+    from itertools import product
+
+    from braidconway import cli, skein3
+
+    stepped = set()
+    step = skein3._resolution_step
+    monkeypatch.setattr(
+        skein3, "_resolution_step", lambda v: stepped.add(v) or step(v)
+    )
+    cli._scan_subtree(((),), 6)
+    inner = [
+        bytes(word)
+        for length in range(7)
+        for word in product(skein3.LETTERS, repeat=length)
+        if skein3.classify_leaf(bytes(word)) is None
+    ]
+    assert len(inner) > 3**6 and stepped >= set(inner)
+
+
 def test_scan_takes_one_product_per_braid_and_letter(monkeypatch):
     # Each walk builds the three letter matrices, one product each, and
     # extends each braid of length < L once by each letter:

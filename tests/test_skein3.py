@@ -432,6 +432,43 @@ def test_an_ascending_cycle_offers_no_move():
         skein3._resolution_step(w("1 2 13"))
 
 
+# --- the normal form ---------------------------------------------------------
+
+def test_normal_form_counts_the_braids_of_each_length():
+    # Length L has 2^(L+1) - 1 positive three-strand braids.
+    for length in range(11):
+        words = map(bytes, product(LETTERS, repeat=length))
+        forms = {skein3._normal_form(word) for word in words}
+        assert len(forms) == 2 ** (length + 1) - 1, length
+
+
+def test_each_descending_pair_is_delta():
+    for pair in ("2 1", "13 2", "1 13"):
+        assert skein3._normal_form(w(pair)) == b"\x03"
+
+
+def test_normal_forms_are_equal_exactly_when_burau_matrices_are():
+    # The Burau matrix is faithful on three strands, so it names the
+    # braid.  Each form is delta^p followed by letters with no descending
+    # adjacent pair, spells the word's braid with delta as 2 1, and is the
+    # word itself when the word has no descending pair.
+    delta = w("2 1")
+    form_of_matrix, matrix_of_form = {}, {}
+    for length in range(9):
+        for word in map(bytes, product(LETTERS, repeat=length)):
+            form = skein3._normal_form(word)
+            matrix = burau_rep(to_band_word(word))
+            assert form_of_matrix.setdefault(matrix, form) == form, format_word(word)
+            assert matrix_of_form.setdefault(form, matrix) == matrix, format_word(word)
+            u = form.lstrip(b"\x03")
+            assert all((x - y) % 3 != 1 for x, y in zip(u, u[1:])), format_word(word)
+            spelling = form.replace(b"\x03", delta)
+            assert burau_rep(to_band_word(spelling)) == matrix, format_word(word)
+            if skein3._DESCENDING.search(word) is None:
+                assert form is word
+    assert len(form_of_matrix) == len(matrix_of_form) == 2**10 - 11
+
+
 # --- whole trees ---------------------------------------------------------------
 
 def test_hopf_tree_value():
@@ -483,24 +520,50 @@ def test_tree_accounting():
         assert check(resolve(word)) == conway_via_skein(word)
 
 
+def _proper_subwords(tree):
+    """The words of every node below the root of a resolved tree."""
+    stack, seen = [tree], set()
+    while stack:
+        node = stack.pop()
+        if node.leaf is None:
+            for child in (node.left, node.right):
+                seen.add(child.word)
+                stack.append(child)
+    return seen
+
+
+def _check_memo_keys(memo, word, keys):
+    # Each of keys is a proper subword of word's tree or the normal form
+    # of one, never word itself, and keys in memo the value of the braid
+    # that it spells: a normal form spelled with delta as 2 1.
+    word = bytes(word)
+    subwords = _proper_subwords(resolve(word))
+    forms = {skein3._normal_form(sub) for sub in subwords}
+    assert word not in keys
+    for key in keys:
+        assert type(key) is bytes
+        assert key in subwords or key in forms, key
+        spelling = key.replace(b"\x03", w("2 1"))
+        assert memo[key] == resolve(spelling).value, key
+
+
 def test_conway_via_skein_memoizes_subwords_not_the_word(monkeypatch):
     # A sweep asks for each word once, so only subword values are kept,
-    # in the memo that the caller passes.
+    # in the memo that the caller passes: under each resolved subword and
+    # under its braid's normal form, so spellings of one braid share one
+    # value.
     word = w("1 2 1 2 13 2 2 1")
     memo = {}
     value = conway_via_skein(word, memo)
     tree = resolve(word)
 
-    def descendants(node):
-        if node.leaf is None:
-            for child in (node.left, node.right):
-                yield child
-                yield from descendants(child)
-
-    assert word not in memo
-    assert all(type(key) is bytes for key in memo)
-    for node in descendants(tree):
-        assert memo[node.word] == conway_via_skein(node.word)
+    _check_memo_keys(memo, word, memo)
+    for node in (tree.left, tree.right):
+        assert memo[node.word] == node.value
+    for sub in _proper_subwords(tree):
+        for key in (sub, skein3._normal_form(sub)):
+            if key in memo:
+                assert memo[key] == conway_via_skein(sub)
     assert conway_via_skein(word, {}) == value
 
     classified = []
@@ -510,6 +573,34 @@ def test_conway_via_skein_memoizes_subwords_not_the_word(monkeypatch):
     )
     assert conway_via_skein(word, memo) == value
     assert classified == [word]
+
+
+def test_both_folds_agree_where_braids_share_values():
+    # resolve keys its memo on words and conway_via_skein on braids, so
+    # on long words, where many subwords spell one braid, they must still
+    # give one value.
+    rng = random.Random(23)
+    for _ in range(30):
+        word = bytes(rng.choice(LETTERS) for _ in range(rng.randint(18, 24)))
+        assert resolve(word).value == conway_via_skein(word, {}), format_word(word)
+
+
+def test_braid_keys_resolve_fewer_subwords(monkeypatch):
+    # The 24-letter word's tree has 577 distinct subwords; they spell
+    # far fewer braids, so the value fold resolves 173 words and resolve,
+    # which keeps a node per word, still meets all 577.
+    word = w("2 1 13 13 13 2 1 1 2 2 13 2 1 2 1 1 1 2 13 13 13 2 1 13")
+    classified = []
+    classify = skein3.classify_leaf
+    monkeypatch.setattr(
+        skein3, "classify_leaf", lambda v: classified.append(v) or classify(v)
+    )
+    value = conway_via_skein(word, {})
+    assert len(classified) == len(set(classified)) == 173
+    classified.clear()
+    tree = resolve(word)
+    assert len(classified) == len(set(classified)) == 577
+    assert tree.value == value and tree.size == 98_217
 
 
 def test_long_words_resolve_without_a_depth_limit():
@@ -525,23 +616,30 @@ def test_long_words_resolve_without_a_depth_limit():
 
 def test_module_memo_is_cleared_past_its_bound(monkeypatch):
     # Without a memo of the caller's, values go through the module-wide
-    # one, which is emptied before a fold once it passes its bound.
+    # one, which is emptied before a fold once it passes its bound.  Below
+    # the bound a fold only adds keys, and a braid met earlier under
+    # another spelling is not resolved again, so a fresh memo may hold
+    # keys that the shared one skipped, but never a different value.
     monkeypatch.setattr(skein3, "_MEMO", {})
     monkeypatch.setattr(skein3, "_MEMO_LIMIT", 20)
     rng = random.Random(131072)
     cleared = 0
     for _ in range(60):
         word = tuple(rng.choice(LETTERS) for _ in range(rng.randint(6, 11)))
-        before = len(skein3._MEMO)
+        before = dict(skein3._MEMO)
         value = conway_via_skein(word)
         fresh = {}
         assert value == conway_via_skein(word, fresh), format_word(word)
         assert all(type(key) is bytes for key in skein3._MEMO)
-        if before > 20:
+        if len(before) > 20:
             cleared += 1
             assert skein3._MEMO == fresh, format_word(word)
+            _check_memo_keys(skein3._MEMO, word, skein3._MEMO)
         else:
-            assert skein3._MEMO.items() >= fresh.items(), format_word(word)
+            assert skein3._MEMO.items() >= before.items(), format_word(word)
+            _check_memo_keys(skein3._MEMO, word, skein3._MEMO.keys() - before)
+            for key in fresh.keys() & skein3._MEMO.keys():
+                assert skein3._MEMO[key] == fresh[key], format_word(word)
     assert cleared > 10
 
 
