@@ -38,18 +38,21 @@ the leaf value.  One function, ``_resolution_step``, makes the move at
 every node, deterministically and leftmost-first, so the same word always
 produces the same tree.
 
-One explicit-stack pass folds a tree from the leaves up, over a memo of
-subword results that its caller owns.  There are two folds:
-``conway_via_skein`` folds values, and ``resolve`` builds nodes up to
-``TREE_NODE_LIMIT``, each with its value, which the tree writers read.
-Nothing recurses, so length sets no depth limit.
+One explicit-stack pass folds a tree from the leaves up, over a memo
+that its caller owns and a step function that gives each inner key its
+two children.  ``resolve`` folds words by ``_resolution_step`` and
+builds nodes up to ``TREE_NODE_LIMIT``, each with its value, which the
+tree writers read.  Nothing recurses, so length sets no depth limit.
 
-A value depends only on the braid, and many subwords spell one braid, so
-``conway_via_skein`` also keys its memo on each subword's braid: its left
-normal form delta^p u (Birman, Ko and Lee), delta = G23 G12 written as the
-byte 3, which no letter is.  A subword met under another spelling of a
-braid already folded is not resolved again.  ``resolve`` keys on words
-only, as each of its nodes carries its own word.
+A value depends only on the braid, and many words spell one braid, so
+below the word that it is asked for ``conway_via_skein`` folds braids.
+Each is keyed by its left normal form delta^p u (Birman, Ko and Lee),
+delta = G23 G12 written as the byte 3, which no letter is, and
+``_braid_step`` splits a square of the form and gives both children as
+normal forms, so no braid below the word needs its key computed from a
+spelling.  The word itself still takes its own resolution step; its two
+children are looked up by word, then by normal form, and only then
+folded.
 """
 
 from __future__ import annotations
@@ -271,52 +274,94 @@ def _resolution_step(w: Word) -> tuple[Word, Word]:
     return w[:pos] + w[pos + 2 :], w[: pos + 1] + w[pos + 2 :]
 
 
-def _fold(w: Word, memo: dict, make, normal=None):
+def _leaf_kind(key: bytes) -> LeafKind | None:
+    """The leaf kind of a word or of a normal form's key, or None.
+
+    delta alone is two distinct letters; every other key that starts with
+    delta resolves further, and a key without delta is a word, which
+    ``classify_leaf`` reads.
+    """
+    if key[:1] == _DELTA:
+        return LeafKind.TWO_DISTINCT if len(key) == 1 else None
+    return classify_leaf(key)
+
+
+#: The letter x + 1, mod 3, as a one-letter word, indexed by x.
+_SUCCESSOR = (b"\x01", b"\x02", b"\x00")
+
+
+def _braid_step(key: bytes) -> tuple[bytes, bytes]:
+    """The children (erased, reduced) of a non-leaf normal form, as normal forms.
+
+    key is delta^p u, _DELTA * p + u with no descending pair in u, and
+    each child's braid length (a delta counts 2) is 2 and 1 below key's.
+    With p >= 1 and u = x u', the last delta is spelled ((x + 1) % 3, x),
+    which plants the square x x: the reduced child is delta^p u', and the
+    erased one delta^(p - 1) ((x + 1) % 3) u', which is delta^p u'[1:]
+    when u' starts with x.  delta^p alone, p >= 2, spells its last two
+    deltas (2 1)(1 0): erased delta^(p - 2) 2 0, reduced delta^(p - 1) 0.
+    With p = 0 the leftmost interior square of u is split as a word's;
+    the reduced child keeps u's pairs, and the erased one gains only the
+    pair that joins the square's two sides, so it is normalized only when
+    that pair descends.  A u without an interior square takes the word's
+    own step, and both children are normalized.
+    """
+    u = key.lstrip(_DELTA)
+    p = len(key) - len(u)
+    if p:
+        if not u:
+            return key[2:] + b"\x02\x00", key[1:] + b"\x00"
+        reduced = key[:p] + u[1:]
+        if u[1:2] == u[:1]:
+            return key[:p] + u[2:], reduced
+        return key[1:p] + _SUCCESSOR[u[0]] + u[1:], reduced
+    found = _SQUARE.search(u)
+    if found is None:
+        erased, reduced = _resolution_step(u)
+        return _normal_form(erased), _normal_form(reduced)
+    pos = found.start()
+    erased = u[:pos] + u[pos + 2 :]
+    if 0 < pos < len(u) - 2 and u[pos - 1] == (u[pos + 2] + 1) % 3:
+        erased = _normal_form(erased)
+    return erased, u[: pos + 1] + u[pos + 2 :]
+
+
+def _fold(w: bytes, memo: dict, make, step):
     """Fold w's resolution tree from the leaves up, with an explicit stack.
 
-    A word's result is make(word, kind, erased_result, reduced_result),
-    with kind None for inner words and both results None for leaves; make
-    never returns None.  memo maps proper subwords to results and gains
-    each one that the fold meets, so equal subtrees fold once; w's own
-    result is returned, not stored.
-
-    With normal, a function from a word to a key that only words of the
-    same value share, a subword that the memo lacks is looked up under
-    its key before it is resolved, and a resolved subword is stored under
-    both, so every spelling of one key folds once.  ``classify_leaf`` runs
-    once for w and once per subword resolved.
+    step gives an inner key's children (erased, reduced): ``_resolution_step``
+    folds words, and ``_braid_step`` the normal forms of braids.  A key's
+    result is make(key, kind, erased_result, reduced_result), with kind
+    None for inner keys and both results None for leaves; make never
+    returns None.  memo maps the keys below w to results and gains each
+    one that the fold meets, so equal subtrees fold once; w's own result
+    is returned, not stored.  The leaf test runs once for w and once per
+    key folded.
     """
-    kind = classify_leaf(w)
+    kind = _leaf_kind(w)
     if kind is not None:
         return make(w, kind, None, None)
-    # The words above the current one, each waiting for a child's result.
+    # The keys above the current one, each waiting for a child's result.
     stack = []
-    word = key = w
-    erased, reduced = _resolution_step(w)
+    key = w
+    erased, reduced = step(w)
     while True:
         lo, hi = memo.get(erased), memo.get(reduced)
         if lo is None or hi is None:
             child = erased if lo is None else reduced
-            child_key = child if normal is None else normal(child)
-            # A word that is its own key has just missed.
-            if child_key is not child:
-                result = memo.get(child_key)
-                if result is not None:
-                    memo[child] = result
-                    continue
-            kind = classify_leaf(child)
+            kind = _leaf_kind(child)
             if kind is None:
-                stack.append((word, key, erased, reduced))
-                word, key = child, child_key
-                erased, reduced = _resolution_step(child)
+                stack.append((key, erased, reduced))
+                key = child
+                erased, reduced = step(child)
             else:
-                memo[child] = memo[child_key] = make(child, kind, None, None)
+                memo[child] = make(child, kind, None, None)
             continue
-        result = make(word, None, lo, hi)
+        result = make(key, None, lo, hi)
         if not stack:
             return result
-        memo[word] = memo[key] = result
-        word, key, erased, reduced = stack.pop()
+        memo[key] = result
+        key, erased, reduced = stack.pop()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -368,7 +413,7 @@ def resolve(w: Iterable[int]) -> Node:
             raise TreeTooLarge(f"resolution tree has more than {TREE_NODE_LIMIT} nodes")
         return Node(word, _combine(left.value, right.value), None, left, right, size)
 
-    return _fold(_as_word(w), memo, make)
+    return _fold(_as_word(w), memo, make, _resolution_step)
 
 
 def leaf_conway(leaf: LeafKind, k: int = 0) -> ZPoly:
@@ -475,10 +520,10 @@ def tree_to_dot(root: Node) -> str:
     return "\n".join(lines)
 
 
-#: Entries kept by the combine cache.  Inner words see few distinct pairs
+#: Entries kept by the combine cache.  Inner keys see few distinct pairs
 #: of child values: ``scan --max-len 9`` combines 30 504 times on 129
-#: pairs (443 at length 11), a 25-word ``long`` round 3138 times on 1278,
-#: and 100 such words meet 3269.
+#: pairs (443 at length 11), a 25-word ``long`` round 1240 times on 685,
+#: and 100 such words, over one memo, meet 2464.
 _COMBINE_MEMO_SIZE = 4096
 
 
@@ -509,30 +554,55 @@ def _value(word: Word, kind: LeafKind | None, lo: ZPoly, hi: ZPoly) -> ZPoly:
     return _combine(lo, hi) if kind is None else leaf_conway(kind, len(word) // 3)
 
 
-#: The memo of subword and braid values that conway_via_skein uses by default.
-_MEMO: dict[Word, ZPoly] = {}
+#: The memo of word and braid values that conway_via_skein uses by default.
+_MEMO: dict[bytes, ZPoly] = {}
 
 #: Entries past which conway_via_skein clears _MEMO before it folds.  A
-#: 25-word ``long`` round fills about 8300; a fresh memo per word is slower.
+#: 25-word ``long`` round fills 1300 to 1900; a fresh memo per word is
+#: about 1.5 times slower.
 _MEMO_LIMIT = 2**17
 
 
+def _braid_value(word: Word, memo: dict[bytes, ZPoly]) -> ZPoly:
+    """The value of the braid that word spells, folded into memo on a miss.
+
+    memo is read under word, then under its braid's normal form; only
+    when both miss is the form folded.  The value is kept under both, so
+    a sweep that meets word again needs no normal form.
+    """
+    value = memo.get(word)
+    if value is None:
+        key = _normal_form(word)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = _fold(key, memo, _value, _braid_step)
+        memo[word] = value
+    return value
+
+
 def conway_via_skein(
-    w: Iterable[int], memo: dict[Word, ZPoly] | None = None
+    w: Iterable[int], memo: dict[bytes, ZPoly] | None = None
 ) -> ZPoly:
     """The Conway polynomial of the closure of w, by resolution.
 
-    memo maps subwords, and the normal forms of their braids, to their
-    values.  A proper subword of w's tree that it lacks is looked up by
-    its braid, and resolved only when that misses too; it is then stored
-    under both keys, so sweeping many related words stays cheap.  w
-    itself always takes its own resolution step, and its value is not
+    w always takes its own resolution step.  Each child is looked up in
+    memo by its word, then by its braid's left normal form, and only when
+    both miss is that braid folded, with each braid below it keyed by its
+    normal form alone; the child's value is kept under both keys, so
+    sweeping many related words stays cheap.  w's own value is not
     stored, since a sweep asks for each word once.
     Without a memo, a module-wide one is used, which lives as long as the
     process and is cleared before a fold once it holds more than
     _MEMO_LIMIT entries.  The value returned may be one object shared with
     other words' values, as ZPoly is immutable.
     """
-    if memo is None and len(_MEMO) > _MEMO_LIMIT:
-        _MEMO.clear()
-    return _fold(_as_word(w), _MEMO if memo is None else memo, _value, _normal_form)
+    if memo is None:
+        if len(_MEMO) > _MEMO_LIMIT:
+            _MEMO.clear()
+        memo = _MEMO
+    word = _as_word(w)
+    kind = classify_leaf(word)
+    if kind is not None:
+        return leaf_conway(kind, len(word) // 3)
+    erased, reduced = _resolution_step(word)
+    return _combine(_braid_value(erased, memo), _braid_value(reduced, memo))

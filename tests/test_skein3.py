@@ -469,6 +469,44 @@ def test_normal_forms_are_equal_exactly_when_burau_matrices_are():
     assert len(form_of_matrix) == len(matrix_of_form) == 2**10 - 11
 
 
+def _normal_forms(max_length):
+    """The normal form of every positive braid of braid length <= max_length.
+
+    A form is delta^p u with no descending pair in u: after its first
+    letter, each letter of u repeats the one before or is its successor.
+    """
+    words = [[b""], [bytes((x,)) for x in LETTERS]]
+    while len(words) <= max_length:
+        words.append(
+            [u + bytes((y,)) for u in words[-1] for y in (u[-1], _successor(u[-1]))]
+        )
+    return [
+        skein3._DELTA * p + u
+        for length in range(max_length + 1)
+        for p in range(length // 2 + 1)
+        for u in words[length - 2 * p]
+    ]
+
+
+def test_braid_step_folds_every_short_braid_to_its_matrix_value():
+    # Every positive braid of braid length <= 10 (delta counts 2), as its
+    # normal form: the braid fold gives the matrix value of the form
+    # spelled with delta as 2 1, and each braid step's children are normal
+    # forms, 2 (erased) and 1 (reduced) shorter.
+    forms = _normal_forms(10)
+    assert len(forms) == len(set(forms)) == sum(2 ** (k + 1) - 1 for k in range(11))
+    for key in forms:
+        spelling = _spelled(key)
+        assert skein3._normal_form(spelling) == key
+        value = skein3._fold(key, {}, skein3._value, skein3._braid_step)
+        assert value == conway_via_burau(to_band_word(spelling)), key
+        if skein3._leaf_kind(key) is None:
+            erased, reduced = skein3._braid_step(key)
+            for child, drop in ((erased, 2), (reduced, 1)):
+                assert skein3._normal_form(_spelled(child)) == child, (key, child)
+                assert len(_spelled(child)) == len(spelling) - drop, (key, child)
+
+
 # --- whole trees ---------------------------------------------------------------
 
 def test_hopf_tree_value():
@@ -532,26 +570,31 @@ def _proper_subwords(tree):
     return seen
 
 
+def _spelled(key):
+    """A normal form's key as a word, with delta spelled 2 1."""
+    return key.replace(skein3._DELTA, w("2 1"))
+
+
 def _check_memo_keys(memo, word, keys):
-    # Each of keys is a proper subword of word's tree or the normal form
-    # of one, never word itself, and keys in memo the value of the braid
-    # that it spells: a normal form spelled with delta as 2 1.
+    # Each of keys is one of word's two children, kept under its own
+    # spelling, or the normal form of a braid shorter than word; never
+    # word itself.  keys in memo hold the value of the braid they spell.
     word = bytes(word)
-    subwords = _proper_subwords(resolve(word))
-    forms = {skein3._normal_form(sub) for sub in subwords}
+    children = skein3._resolution_step(word)
     assert word not in keys
     for key in keys:
         assert type(key) is bytes
-        assert key in subwords or key in forms, key
-        spelling = key.replace(b"\x03", w("2 1"))
+        spelling = _spelled(key)
+        assert key in children or skein3._normal_form(spelling) == key, key
+        assert len(spelling) < len(word), key
         assert memo[key] == resolve(spelling).value, key
 
 
 def test_conway_via_skein_memoizes_subwords_not_the_word(monkeypatch):
-    # A sweep asks for each word once, so only subword values are kept,
-    # in the memo that the caller passes: under each resolved subword and
-    # under its braid's normal form, so spellings of one braid share one
-    # value.
+    # A sweep asks for each word once, so only the values below the word
+    # are kept, in the memo that the caller passes: the word's two
+    # children under their words and their braids' normal forms, and
+    # every braid folded below them under its normal form alone.
     word = w("1 2 1 2 13 2 2 1")
     memo = {}
     value = conway_via_skein(word, memo)
@@ -559,7 +602,7 @@ def test_conway_via_skein_memoizes_subwords_not_the_word(monkeypatch):
 
     _check_memo_keys(memo, word, memo)
     for node in (tree.left, tree.right):
-        assert memo[node.word] == node.value
+        assert memo[node.word] == memo[skein3._normal_form(node.word)] == node.value
     for sub in _proper_subwords(tree):
         for key in (sub, skein3._normal_form(sub)):
             if key in memo:
@@ -586,18 +629,24 @@ def test_both_folds_agree_where_braids_share_values():
 
 
 def test_braid_keys_resolve_fewer_subwords(monkeypatch):
-    # The 24-letter word's tree has 577 distinct subwords; they spell
-    # far fewer braids, so the value fold resolves 173 words and resolve,
-    # which keeps a node per word, still meets all 577.
+    # The 24-letter word's tree has 577 distinct subwords.  Below the word
+    # the value fold folds braids, each once, and takes 49 braid steps;
+    # resolve, which keeps a node per word, still classifies all 577.
     word = w("2 1 13 13 13 2 1 1 2 2 13 2 1 2 1 1 1 2 13 13 13 2 1 13")
+    stepped = []
+    braid_step = skein3._braid_step
+    monkeypatch.setattr(
+        skein3, "_braid_step", lambda key: stepped.append(key) or braid_step(key)
+    )
+    memo = {}
+    value = conway_via_skein(word, memo)
+    assert len(stepped) == len(set(stepped)) == 49
+    assert len(memo) == 57
     classified = []
     classify = skein3.classify_leaf
     monkeypatch.setattr(
         skein3, "classify_leaf", lambda v: classified.append(v) or classify(v)
     )
-    value = conway_via_skein(word, {})
-    assert len(classified) == len(set(classified)) == 173
-    classified.clear()
     tree = resolve(word)
     assert len(classified) == len(set(classified)) == 577
     assert tree.value == value and tree.size == 98_217
@@ -617,9 +666,9 @@ def test_long_words_resolve_without_a_depth_limit():
 def test_module_memo_is_cleared_past_its_bound(monkeypatch):
     # Without a memo of the caller's, values go through the module-wide
     # one, which is emptied before a fold once it passes its bound.  Below
-    # the bound a fold only adds keys, and a braid met earlier under
-    # another spelling is not resolved again, so a fresh memo may hold
-    # keys that the shared one skipped, but never a different value.
+    # the bound a fold only adds keys, and a braid met earlier is not
+    # folded again, so a fresh memo may hold keys that the shared one
+    # skipped, but never a different value.
     monkeypatch.setattr(skein3, "_MEMO", {})
     monkeypatch.setattr(skein3, "_MEMO_LIMIT", 20)
     rng = random.Random(131072)
@@ -698,11 +747,21 @@ def test_exhaustive_agreement_up_to_length_six():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.sampled_from(LETTERS), min_size=15, max_size=30).map(tuple))
+@given(st.lists(st.sampled_from(LETTERS), min_size=15, max_size=60).map(tuple))
 def test_routes_agree_beyond_the_exhaustive_range(word):
     via_skein = conway_via_skein(word)
     assert via_skein == conway_via_burau(to_band_word(word)), format_word(word)
     assert via_skein.is_nonneg(), format_word(word)
+
+
+def test_routes_agree_on_words_of_100_and_200_letters():
+    rng = random.Random(200)
+    for length in (100, 200):
+        for _ in range(10):
+            word = bytes(rng.choice(LETTERS) for _ in range(length))
+            via_skein = conway_via_skein(word, {})
+            assert via_skein == conway_via_burau(to_band_word(word)), format_word(word)
+            assert via_skein.is_nonneg(), format_word(word)
 
 
 # --- serialization -----------------------------------------------------------
