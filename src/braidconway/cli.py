@@ -101,9 +101,10 @@ def _scan_subtree(
     """Coefficient tuples of the words that extend prefixes up to max_len, by length.
 
     prefixes are words of one length, in letter order, as any sequences
-    of letters; the walk extends them as bytes.  The walk visits
-    each prefix's extension trie depth first in letter order, so each
-    length's values come out in the lexicographic order of their words.
+    of letters; the walk extends them as bytes.  The walk goes one length
+    at a time: each level is the level before it with each word extended
+    by each letter in letter order, so each length's values come out in
+    the lexicographic order of their words.
 
     Many words spell the same braid (the 3^L words of length L give
     2^(L+1) - 1 braids), and the Burau matrix is faithful on three
@@ -113,14 +114,18 @@ def _scan_subtree(
     per distinct (braid, letter) pair, and one Conway normalization and
     sign check per distinct braid; a negative value stops the walk at the
     word whose record it is.  Every word's skein value is still computed
-    and compared exactly with its braid's matrix value: the skein memo
-    shares its children's values between spellings of one braid, but
-    each word still takes its own resolution step.  The walk's memos
-    live for this call only; the skein combine cache that it shares with
-    the rest of the process is bounded and pure, so what ran before a
-    task can save it work but cannot change its results.  The walk keeps
-    an explicit stack, so no function refers to itself and the memos go
-    as soon as the call returns.
+    and compared exactly with its braid's matrix value, and every word
+    takes its own resolution step.  That step's children are plain words
+    one and two letters shorter, after a respelling or a rotation too,
+    so the skein memo keeps the two levels below the current one under
+    their words.  A walk from the empty word then finds every child by
+    its spelling, and takes no normal form and folds no braid; a walk
+    from longer prefixes still folds the children that do not extend
+    them.  The walk's memos live for this call only; the skein combine
+    cache that it shares with the rest of the process is bounded and
+    pure, so what ran before a task can save it work but cannot change
+    its results.  No function refers to itself, so the memos go as soon
+    as the call returns.
     """
     found: dict[int, list[tuple[int, ...]]] = {
         length: [] for length in range(len(prefixes[0]), max_len + 1)
@@ -141,30 +146,37 @@ def _scan_subtree(
         return braid
 
     # Records are made in letter order, so each names its first spelling.
-    stack = [
-        (prefix, braid_record(prefix, burau_rep(to_band_word(prefix))))
-        for prefix in map(bytes, prefixes)
-    ]
-    stack.reverse()
-    while stack:
-        word, braid = stack.pop()
-        matrix, value, children = braid
-        via_skein = conway_via_skein(word, skein_memo)
-        if via_skein != value:
-            raise ScanViolation(
-                format_word(word), f"skein gives {via_skein}, matrix gives {value}"
-            )
-        length = len(word)
-        found[length].append(value.coeffs)
-        if length < max_len:
-            if children is None:
-                children = braid[2] = [
-                    braid_record(word + _LETTER_BYTES[letter], matrix * letter_matrix)
-                    for letter, letter_matrix in zip(LETTERS, letter_matrices)
-                ]
-            # Pushed last letter first, so the first letter pops first.
-            for letter in reversed(LETTERS):
-                stack.append((word + _LETTER_BYTES[letter], children[letter]))
+    words = [bytes(prefix) for prefix in prefixes]
+    level = [braid_record(word, burau_rep(to_band_word(word))) for word in words]
+    # The words of the levels whose values skein_memo holds, shortest first.
+    kept: list[list[Word]] = []
+    for length, values in found.items():
+        if len(kept) == 3:
+            for word in kept.pop(0):
+                del skein_memo[word]
+        last = length == max_len
+        for word, braid in zip(words, level):
+            matrix, value, children = braid
+            via_skein = conway_via_skein(word, skein_memo)
+            if via_skein != value:
+                raise ScanViolation(
+                    format_word(word), f"skein gives {via_skein}, matrix gives {value}"
+                )
+            values.append(value.coeffs)
+            if not last:
+                skein_memo[word] = value
+                if children is None:
+                    braid[2] = [
+                        braid_record(word + letter, matrix * letter_matrix)
+                        for letter, letter_matrix in zip(_LETTER_BYTES, letter_matrices)
+                    ]
+        if not last:
+            kept.append(words)
+            level = (child for braid in level for child in braid[2])
+            words = (word + letter for word in words for letter in _LETTER_BYTES)
+            # Only a level that is kept is held whole; the last is walked as made.
+            if length + 1 < max_len:
+                level, words = list(level), list(words)
     return found
 
 

@@ -521,9 +521,9 @@ def tree_to_dot(root: Node) -> str:
 
 
 #: Entries kept by the combine cache.  Inner keys see few distinct pairs
-#: of child values: ``scan --max-len 9`` combines 30 504 times on 129
-#: pairs (443 at length 11), a 25-word ``long`` round 1240 times on 685,
-#: and 100 such words, over one memo, meet 2464.
+#: of child values: ``scan --max-len 9`` combines 29 505 times, once per
+#: inner word, on 129 pairs (443 at length 11), a 25-word ``long`` round
+#: 1240 times on 685, and 100 such words, over one memo, meet 2464.
 _COMBINE_MEMO_SIZE = 4096
 
 

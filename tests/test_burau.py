@@ -395,8 +395,9 @@ def test_markov_stabilization():
 
 
 @st.composite
-def _mixed_artin_words(draw):
-    n = draw(st.integers(2, 8))
+def _mixed_artin_words(draw, n=None):
+    if n is None:
+        n = draw(st.integers(2, 8))
     letters = draw(
         st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=10)
     )
@@ -407,6 +408,14 @@ def _mixed_artin_words(draw):
 @given(_mixed_artin_words(), st.integers(0, 9))
 def test_conway_is_invariant_under_rotation(word, k):
     assert conway_via_burau(word.rotated(k % max(1, len(word)))) == conway_via_burau(word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_artin_words(), st.data())
+def test_conway_is_invariant_under_conjugation(word, data):
+    # Any v on the same strands, not only a rotation's prefix of the word.
+    v = data.draw(_mixed_artin_words(word.n))
+    assert conway_via_burau(v * word * v.inverse()) == conway_via_burau(word)
 
 
 @settings(max_examples=100, deadline=None)

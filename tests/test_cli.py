@@ -359,6 +359,46 @@ def test_scan_takes_one_normalization_per_braid(monkeypatch):
             assert counts == {"normalize": normalizations, "det": 0}
 
 
+def test_scan_takes_no_normal_form_and_folds_no_braid(monkeypatch):
+    # Each word's children in its resolution step are plain words one
+    # and two letters shorter, and the walk keeps the two levels below
+    # the current one under their own words, so a walk from the empty
+    # word finds every child by its spelling: it takes no normal form
+    # and folds no braid.  The memo that a word meets never holds more
+    # than the three levels below it.
+    from braidconway import cli, skein3
+
+    calls = {"normal form": 0, "braid step": 0}
+    normal_form, braid_step, skein = (
+        skein3._normal_form, skein3._braid_step, cli.conway_via_skein
+    )
+
+    def counted_normal_form(word):
+        calls["normal form"] += 1
+        return normal_form(word)
+
+    def counted_braid_step(key):
+        calls["braid step"] += 1
+        return braid_step(key)
+
+    largest = 0
+
+    def measured_skein(word, memo):
+        nonlocal largest
+        largest = max(largest, len(memo))
+        return skein(word, memo)
+
+    monkeypatch.setattr(skein3, "_normal_form", counted_normal_form)
+    monkeypatch.setattr(skein3, "_braid_step", counted_braid_step)
+    monkeypatch.setattr(cli, "conway_via_skein", measured_skein)
+    for max_len in range(9):
+        largest = 0
+        cli._scan_subtree(((),), max_len)
+        assert calls == {"normal form": 0, "braid step": 0}
+        assert largest <= sum(3**k for k in range(max_len - 3, max_len) if k >= 0)
+    assert largest == 3**7 + 3**6 + 3**5 - 1
+
+
 def test_scan_skein_memo_lives_for_one_walk(monkeypatch):
     # Each walk classifies every subword it meets again: no skein memo
     # outlives its walk.
