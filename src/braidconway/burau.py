@@ -1,7 +1,9 @@
 """Reduced Burau matrices and the Conway polynomial of a braid closure.
 
 A word on n strands maps to an (n-1)x(n-1) matrix over the Laurent ring
-in s.  The Conway polynomial of its closure is a normalized determinant:
+in s, the product of its letters' matrices, each the identity plus one
+rank-one term.  The Conway polynomial of its closure is a normalized
+determinant:
 
     conway = laurent_to_z( (-1)^(n+1) * s^(-e) * det(M - Id) / bracket(n) )
 
@@ -13,22 +15,15 @@ InternalInconsistency rather than a value error.  The sign, the monomial
 and the bracket are pinned by fixed two-, three- and six-strand closures
 in the test suite.
 
-Every letter matrix has determinant (-s^2)^sign, so det M = (-s^2)^e.
-On three strands M is 2x2, and det(M - Id) = (-s^2)^e - tr M + 1 needs
-only the trace and the exponent sum.  On more strands det(M - Id) comes
-from Bareiss elimination, O(n^3) ring operations.  The scan asks for one
-product per distinct (braid, letter) pair and one normalization per
-distinct braid, not one per word: its walk memoizes both on the exact
-matrix, so the 29 524 words of length <= 9 cost 3042 products (3 of
-them the letter matrices) and 2036 normalizations.  The rest of the
-normalization depends only on (n, e, det(M - Id)), and few such triples
-occur: those words meet 80.  So ``_normalize`` keeps a fixed-size memo
-of it; a failed normalization raises and is not cached.
+The normalization after the determinant depends only on (n, e,
+det(M - Id)), and few such triples occur, so ``_normalize`` keeps a
+fixed-size memo of it; a failed normalization raises and is not cached.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 from functools import cached_property, lru_cache
 
 from .braid import ArtinWord, BandWord, IndexOutOfRange
@@ -96,14 +91,11 @@ class BurauMatrix:
 
     @classmethod
     def identity(cls, n: int) -> BurauMatrix:
-        size = n - 1
-        try:
-            rows = tuple(
-                (_ZERO,) * r + (_ONE,) + (_ZERO,) * (size - 1 - r)
-                for r in range(size)
-            )
-        except OverflowError:
-            raise IndexOutOfRange(f"{n} strands are too many to index a matrix") from None
+        if n - 1 > sys.maxsize:
+            raise IndexOutOfRange(f"{n} strands are too many to index a matrix")
+        rows = tuple(
+            (_ZERO,) * r + (_ONE,) + (_ZERO,) * (n - 2 - r) for r in range(n - 1)
+        )
         return cls(n, rows)
 
     @cached_property
@@ -180,61 +172,55 @@ class BurauMatrix:
         return -det if negate else det
 
 
-#: Column i of sigma_i^sign as (above, diagonal, below) exponent -> coefficient
-#: maps; every other column is the identity's.
-_GENERATOR_COLUMN = {
-    1: ({2: 1}, {2: -1}, {0: 1}),
-    -1: ({0: 1}, {-2: -1}, {-2: 1}),
+#: By sign, u's entries at rows i - 1, i, j - 1 and j of a_ij^sign = I + u v^T.
+_LETTER_U = {
+    1: (LaurentPoly.term(1, 2), -_ONE, LaurentPoly.term(-1, 2), _ONE),
+    -1: (_ONE, LaurentPoly.term(-1, -2), -_ONE, LaurentPoly.term(1, -2)),
 }
 
-
-def _generator_matrix(i: int, n: int, sign: int) -> BurauMatrix:
-    grid = [list(row) for row in BurauMatrix.identity(n).entries]
-    col = i - 1
-    for r, coeffs in zip((col - 1, col, col + 1), _GENERATOR_COLUMN[sign]):
-        if 0 <= r < n - 1:
-            grid[r][col] = LaurentPoly(coeffs)
-    return BurauMatrix(n, tuple(tuple(row) for row in grid))
-
-
-def burau_generator(i: int, n: int, sign: int = 1) -> BurauMatrix:
-    """The reduced Burau matrix of sigma_i^sign on n strands.
-
-    Both signs are the identity outside column i.  For sigma_i that column
-    holds -s^2 on the diagonal, flanked by s^2 above and 1 below where
-    those rows exist; for sigma_i^-1 it holds -s^-2, flanked by 1 above and
-    s^-2 below.  The two are checked to multiply to the identity, a
-    product that moves no column.  ArtinWord checks the letter.
-    """
-    ((i, sign),) = ArtinWord(n, ((i, sign),)).letters
-    pair = {s: _generator_matrix(i, n, s) for s in (1, -1)}
-    if (pair[1] * pair[-1])._moved_columns:
-        raise InternalInconsistency(
-            f"inverse of generator {i} on {n} strands failed its identity check"
-        )
-    return pair[sign]
-
-
-#: Entries kept by the one letter-matrix cache below.  A round of 20 band
-#: words on 4 to 7 strands meets all 36 generators and all 104 band
-#: letters of those strand counts.
+#: Entries kept by the one letter-matrix cache.  A round of 20 band words on
+#: 4 to 7 strands meets all 104 band letters of those strand counts.
 _LETTER_MEMO_SIZE = 256
 
 
 @lru_cache(maxsize=_LETTER_MEMO_SIZE)
 def _letter_matrix(n: int, letter: tuple[int, ...]) -> BurauMatrix:
-    """The matrix of one checked Artin letter (i, s) or band letter (i, j, s)."""
-    if len(letter) == 2:
-        return burau_generator(letter[0], n, letter[1])
-    return burau_rep(BandWord(n, (letter,)).to_artin())
+    """The matrix of one checked Artin letter (i, s) or band letter (i, j, s).
+
+    Artin's (i, s) is a_(i,i+1)^s.  a_ij^s is I + u v^T, u's entries read
+    from ``_LETTER_U``: rows outside 1..n-1 are dropped, and rows i and
+    j - 1 add when they meet.  (I + a v^T)(I + b v^T) is
+    I + (a + b + (v.b) a) v^T, so the two signs' u are checked to be
+    inverse as vectors: a + b + (v.b) a = 0.
+    """
+    i, sign = letter[0], letter[-1]
+    j = letter[1] if len(letter) == 3 else i + 1
+    a: dict[int, LaurentPoly] = {}
+    b: dict[int, LaurentPoly] = {}
+    for r, x, y in zip((i - 2, i - 1, j - 2, j - 1), _LETTER_U[1], _LETTER_U[-1]):
+        if 0 <= r < n - 1:
+            a[r], b[r] = a.get(r, _ZERO) + x, b.get(r, _ZERO) + y
+    vb = sum((y for r, y in b.items() if i - 1 <= r < j - 1), _ZERO)
+    if any(a[r] + b[r] + vb * a[r] for r in a):
+        raise InternalInconsistency(
+            f"inverse of letter {i}:{j} on {n} strands failed its identity check"
+        )
+    rows = list(BurauMatrix.identity(n).entries)
+    for r, x in (a if sign == 1 else b).items():
+        row = rows[r]
+        rows[r] = row[: i - 1] + tuple(e + x for e in row[i - 1 : j - 1]) + row[j - 1 :]
+    return BurauMatrix._unchecked(n, tuple(rows))
+
+
+def burau_generator(i: int, n: int, sign: int = 1) -> BurauMatrix:
+    """The reduced Burau matrix of sigma_i^sign on n strands: the identity but
+    for column i, which holds s^2, -s^2, 1 (sign +1) or 1, -s^-2, s^-2 (sign
+    -1) at rows i - 1, i and i + 1 where they exist.  ArtinWord checks it."""
+    return _letter_matrix(n, ArtinWord(n, ((i, sign),)).letters[0])
 
 
 def burau_rep(word: ArtinWord | BandWord) -> BurauMatrix:
-    """The matrix of a word: the product of its letters' matrices.
-
-    The empty word maps to the identity.  Each letter's matrix comes from
-    one cache; a band letter's is the product of its Artin expansion.
-    """
+    """The matrix of a word: the product of its letters' cached matrices."""
     m = BurauMatrix.identity(word.n)
     for letter in word.letters:
         m = m * _letter_matrix(word.n, letter)
@@ -279,7 +265,21 @@ def _normalize(n: int, exponent_sum: int, det: LaurentPoly) -> ZPoly:
 
 
 def conway_via_burau(word: ArtinWord | BandWord) -> ZPoly:
-    """The Conway polynomial of the closure of a braid word."""
+    """The Conway polynomial of the closure of a braid word.
+
+    Artin letter k crosses column k, band letter i:j columns i..j-1.  A
+    column in 1..n-1 that no letter crosses splits the closure, whose
+    value is then 0: no matrix is built, unless to refuse the strand count.
+    """
+    letters = set(word.letters)
+    spans = sorted({(x[0], x[1] - 1 if len(x) == 3 else x[0]) for x in letters})
+    reach = 0
+    for lo, hi in spans:
+        if lo > reach + 1:
+            break  # column reach + 1 is idle
+        reach = max(reach, hi)
+    if reach < word.n - 1 <= sys.maxsize:
+        return ZPoly()
     return conway_from_matrix(burau_rep(word), word.exponent_sum())
 
 

@@ -1,6 +1,7 @@
 """Matrices of braid words and the Conway normalization."""
 
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -86,17 +87,84 @@ def test_inverses_multiply_to_identity():
 
 
 def test_generator_identity_check_catches_a_wrong_inverse(monkeypatch):
-    broken = dict(burau._GENERATOR_COLUMN)
-    broken[-1] = ({0: 1}, {-2: -1}, {-2: -1})
-    monkeypatch.setattr(burau, "_GENERATOR_COLUMN", broken)
+    # The inverse's u with a wrong entry at row j.  The cache is emptied so
+    # that every letter below is built from the broken table; a letter that
+    # fails its check raises and is not cached.
+    broken = dict(burau._LETTER_U)
+    broken[-1] = (ONE, LaurentPoly({-2: -1}), -ONE, LaurentPoly({-2: -1}))
+    monkeypatch.setattr(burau, "_LETTER_U", broken)
+    burau._letter_matrix.cache_clear()
     with pytest.raises(InternalInconsistency):
         burau_generator(1, 3)
     with pytest.raises(InternalInconsistency):
         burau_generator(1, 3, -1)
+    for sign in (1, -1):
+        with pytest.raises(InternalInconsistency):
+            burau_rep(BandWord(4, ((1, 3, sign),)))
 
 
 def test_letter_caches_are_bounded():
     assert burau._letter_matrix.cache_info().maxsize is not None
+
+
+def _column_generator(i, n, sign):
+    """sigma_i^sign built entry by entry: the identity outside column i.
+
+    For sigma_i column i holds -s^2 on the diagonal, flanked by s^2 above
+    and 1 below where those rows exist; for sigma_i^-1 it holds -s^-2,
+    flanked by 1 above and s^-2 below.
+    """
+    column = {
+        1: (S2, NEG_S2, ONE),
+        -1: (ONE, LaurentPoly({-2: -1}), LaurentPoly({-2: 1})),
+    }[sign]
+    rows = [[ONE if r == c else ZERO for c in range(n - 1)] for r in range(n - 1)]
+    for r, entry in zip((i - 2, i - 1, i), column):
+        if 0 <= r < n - 1:
+            rows[r][i - 1] = entry
+    return BurauMatrix(n, tuple(map(tuple, rows)))
+
+
+def _every_letter(max_n):
+    """(n, letter, i, j): every Artin and band letter on 2..max_n strands."""
+    for n in range(2, max_n + 1):
+        for sign in (1, -1):
+            for i in range(1, n):
+                yield n, (i, sign), i, i + 1
+                for j in range(i + 1, n + 1):
+                    yield n, (i, j, sign), i, j
+
+
+def test_letters_equal_the_product_of_their_artin_expansion():
+    # The closed form against products of generators built entry by entry,
+    # multiplied entry by entry.
+    for n, letter, i, j in _every_letter(9):
+        if len(letter) == 2:
+            artin = ArtinWord(n, (letter,))
+        else:
+            artin = BandWord(n, (letter,)).to_artin()
+        expected = BurauMatrix.identity(n)
+        for k, s in artin.letters:
+            expected = _dense_product(expected, _column_generator(k, n, s))
+        got = burau._letter_matrix(n, letter)
+        assert got == expected
+        inverse = burau._letter_matrix(n, letter[:-1] + (-letter[-1],))
+        assert _dense_product(got, inverse) == BurauMatrix.identity(n)
+
+
+def test_a_letter_is_the_identity_plus_a_rank_one_term():
+    # B - I = u v^T, v being the ones on columns i..j-1: every row of B - I
+    # is its entry at column i times v, and some row is not zero.
+    for n, letter, i, j in _every_letter(9):
+        m = burau._letter_matrix(n, letter)
+        moved = [
+            [entry - (ONE if r == c else ZERO) for c, entry in enumerate(row)]
+            for r, row in enumerate(m.entries)
+        ]
+        assert any(any(row) for row in moved)
+        for row in moved:
+            u = row[i - 1]
+            assert row == [u if i - 1 <= c < j - 1 else ZERO for c in range(n - 1)]
 
 
 def _dense_product(a, b):
@@ -185,7 +253,8 @@ def test_moved_columns_match_an_entry_by_entry_reference():
 
 
 def test_moved_columns_make_no_truth_test(monkeypatch):
-    m = burau._generator_matrix(150, 300, 1)
+    # Built afresh, past the cache, so that its moved columns are not known.
+    m = burau._letter_matrix.__wrapped__(300, (150, 1))
     calls = 0
     truth = LaurentPoly.__bool__
 
@@ -301,6 +370,65 @@ def test_determinant_tracks_exponent_sum():
 
 def test_empty_word_is_identity():
     assert burau_rep(ArtinWord(4)) == BurauMatrix.identity(4)
+
+
+def _crossed_columns(word):
+    """The columns k in 1..n-1 that some letter of word crosses."""
+    crossed = set()
+    for letter in word.letters:
+        last = letter[1] - 1 if len(letter) == 3 else letter[0]
+        crossed.update(range(letter[0], last + 1))
+    return crossed
+
+
+def test_an_idle_column_answers_zero_without_a_matrix(monkeypatch):
+    def refuse(cls, n):
+        raise AssertionError(f"an identity on {n} strands was built")
+
+    monkeypatch.setattr(BurauMatrix, "identity", classmethod(refuse))
+    for word in (
+        parse_artin("1 2 3", 300),
+        parse_artin("1 2 3", 10**6),
+        parse_artin("1 -1 3", 4),
+        parse_artin("", 2),
+        parse_band("1:3 4:6", 6),
+        parse_band("2:4 -2:4", 4),
+        parse_band("1:3 -1:2", 4),
+    ):
+        assert _crossed_columns(word) != set(range(1, word.n))
+        assert conway_via_burau(word) == ZPoly()
+
+
+def test_a_strand_count_too_large_to_index_is_still_refused():
+    from braidconway.braid import IndexOutOfRange
+
+    for n in (10**20, sys.maxsize + 2):
+        with pytest.raises(IndexOutOfRange, match="too many to index"):
+            conway_via_burau(parse_artin("1", n))
+
+
+def test_words_with_an_idle_column_have_value_zero_by_their_matrix():
+    # The closure of a word that leaves a column idle splits; its matrix
+    # route gives 0 as well, and every other word goes through the matrix.
+    rng = random.Random(7311)
+    idle = 0
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        length = rng.randint(0, 6)
+        if rng.random() < 0.5:
+            word = _random_word(rng, n, length)
+        else:
+            letters = []
+            for _ in range(length):
+                i = rng.randint(1, n - 1)
+                letters.append((i, rng.randint(i + 1, n), rng.choice((1, -1))))
+            word = BandWord(n, tuple(letters))
+        by_matrix = conway_from_matrix(burau_rep(word), word.exponent_sum())
+        assert conway_via_burau(word) == by_matrix
+        if _crossed_columns(word) != set(range(1, n)):
+            idle += 1
+            assert by_matrix == ZPoly()
+    assert 50 <= idle <= 250
 
 
 def test_band_words_match_their_artin_expansion():

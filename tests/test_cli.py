@@ -81,6 +81,21 @@ def test_conway_names_a_bad_letter_and_exits_2(capsys, alphabet, word, strands, 
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
+def test_conway_answers_an_idle_column_at_once(capsys, monkeypatch):
+    # Column 4 of 299 is crossed by no letter, so the closure splits; no
+    # 299x299 identity is built, nor one of 999 999 columns.
+    from braidconway.burau import BurauMatrix
+
+    def refuse(cls, n):
+        raise AssertionError(f"an identity on {n} strands was built")
+
+    monkeypatch.setattr(BurauMatrix, "identity", classmethod(refuse))
+    for strands in ("300", "1000000"):
+        for alphabet, word in (("--artin", "1 2 3"), ("--band", "1:4 -2:3")):
+            code, out, err = run(capsys, "conway", "-n", strands, alphabet, word)
+            assert (code, out, err) == (0, "0\n", "")
+
+
 def test_conway_requires_exactly_one_alphabet():
     with pytest.raises(SystemExit) as info:
         main(["conway", "--artin", "1", "--band", "1:2", "-n", "3"])
@@ -461,10 +476,9 @@ def test_scan_takes_one_product_per_braid_and_letter(monkeypatch):
         calls += 1
         return mul(self, other)
 
-    # An uncounted walk first: the process-wide letter-matrix cache
-    # burau._letter_matrix takes 8 products of its own when cold,
-    # and the count below is the walk's alone, whatever ran before.
-    cli._scan_subtree(((),), 0)
+    # The process-wide letter-matrix cache builds each matrix in closed
+    # form, with no product, so the count below is the walk's alone,
+    # whether or not the cache is cold.
     monkeypatch.setattr(BurauMatrix, "__mul__", counted_mul)
     for max_len in range(9):
         for _ in range(2):
@@ -849,15 +863,18 @@ _words = st.lists(st.sampled_from(_TOKENS), max_size=6).map(" ".join)
 def _argvs():
     """argv lists over the four subcommands, valid and not.
 
-    The strand counts leave out everything between 8 and 10**20.  A count
-    from about 10**5 up to 2**63 passes every check and makes the matrix
-    route ask for an (N-1)x(N-1) identity, which exhausts memory before
-    any answer or refusal; 10**20 is past what a tuple can index, so it
-    is refused at once.
+    A word here has at most 6 letters, so on 10**6 strands it leaves a
+    column that no letter crosses, and the matrix route answers 0 without
+    building a matrix.  A word that crosses every column of about 10**5
+    strands or more would make it ask for an (N-1)x(N-1) identity, which
+    exhausts memory; 10**20 is past what a tuple can index, so it is
+    refused at once.
     """
     conway = st.builds(
         lambda n, alphabet, word: ["conway", "-n", n, f"{alphabet}={word}"],
-        st.sampled_from(("-1", "0", "1", "2", "3", "5", "8", str(10**20))),
+        st.sampled_from(
+            ("-1", "0", "1", "2", "3", "5", "8", str(10**6), str(10**20))
+        ),
         st.sampled_from(("--artin", "--band")),
         _words,
     )
