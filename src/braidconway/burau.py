@@ -178,6 +178,10 @@ _LETTER_U = {
     -1: (_ONE, LaurentPoly.term(-1, -2), -_ONE, LaurentPoly.term(1, -2)),
 }
 
+#: p rebuilt from its terms, with its exact bound: sigma_i's -s^2, summed as
+#: 1 + (-1 - s^2), would carry 3.  Letters' diagonals take five values.
+_exact = lru_cache(maxsize=8)(lambda p: LaurentPoly(dict(p.items())))
+
 #: Entries kept by the one letter-matrix cache.  A round of 20 band words on
 #: 4 to 7 strands meets all 104 band letters of those strand counts.
 _LETTER_MEMO_SIZE = 256
@@ -208,7 +212,8 @@ def _letter_matrix(n: int, letter: tuple[int, ...]) -> BurauMatrix:
     rows = list(BurauMatrix.identity(n).entries)
     for r, x in (a if sign == 1 else b).items():
         row = rows[r]
-        rows[r] = row[: i - 1] + tuple(e + x for e in row[i - 1 : j - 1]) + row[j - 1 :]
+        moved = tuple(_exact(e + x) if e else x for e in row[i - 1 : j - 1])
+        rows[r] = row[: i - 1] + moved + row[j - 1 :]
     return BurauMatrix._unchecked(n, tuple(rows))
 
 

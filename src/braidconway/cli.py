@@ -34,13 +34,13 @@ from .skein3 import (
     LETTERS,
     TreeTooLarge,
     Word,
-    conway_via_skein,
     format_word,
     parse_word,
     resolve,
     to_band_word,
     tree_to_dot,
     tree_to_json,
+    value_by_step,
 )
 
 DEFAULT_SEED = 1234567
@@ -114,24 +114,22 @@ def _scan_subtree(
     per distinct (braid, letter) pair, and one Conway normalization and
     sign check per distinct braid; a negative value stops the walk at the
     word whose record it is.  Every word's skein value is still computed
-    and compared exactly with its braid's matrix value, and every word
-    takes its own resolution step.  That step's children are plain words
-    one and two letters shorter, after a respelling or a rotation too,
-    so the skein memo keeps the two levels below the current one under
-    their words.  A walk from the empty word then finds every child by
-    its spelling, and takes no normal form and folds no braid; a walk
-    from longer prefixes still folds the children that do not extend
-    them.  The walk's memos live for this call only; the skein combine
-    cache that it shares with the rest of the process is bounded and
-    pure, so what ran before a task can save it work but cannot change
-    its results.  No function refers to itself, so the memos go as soon
-    as the call returns.
+    by its own resolution step, ``value_by_step``, and compared exactly
+    with its braid's matrix value.  The step's children are words two and
+    one letters shorter, read from the dicts of values of the two levels
+    below, so a walk from the empty word takes no normal form and folds
+    no braid.  A walk from longer prefixes folds each child that does not
+    extend them into one cold memo of normal forms, and keeps its value in
+    the child's level dict, which goes with that level.  The walk's dicts
+    live for this call only, and no function refers to itself, so they go
+    as soon as it returns; the skein combine cache that it shares with the
+    rest of the process is bounded and pure, so what ran before a task can
+    save it work but cannot change its results.
     """
     found: dict[int, list[tuple[int, ...]]] = {
         length: [] for length in range(len(prefixes[0]), max_len + 1)
     }
     letter_matrices = [burau_rep(to_band_word((letter,))) for letter in LETTERS]
-    skein_memo: dict[Word, ZPoly] = {}
     # A letter's matrix has determinant -s^2, so a matrix fixes its length.
     braids: dict[BurauMatrix, list] = {}
 
@@ -148,33 +146,32 @@ def _scan_subtree(
     # Records are made in letter order, so each names its first spelling.
     words = [bytes(prefix) for prefix in prefixes]
     level = [braid_record(word, burau_rep(to_band_word(word))) for word in words]
-    # The words of the levels whose values skein_memo holds, shortest first.
-    kept: list[list[Word]] = []
+    two_below: dict[Word, ZPoly] = {}
+    one_below: dict[Word, ZPoly] = {}
+    cold: dict[bytes, ZPoly] = {}
     for length, values in found.items():
-        if len(kept) == 3:
-            for word in kept.pop(0):
-                del skein_memo[word]
         last = length == max_len
+        here: dict[Word, ZPoly] = {}
         for word, braid in zip(words, level):
             matrix, value, children = braid
-            via_skein = conway_via_skein(word, skein_memo)
+            via_skein = value_by_step(word, two_below, one_below, cold)
             if via_skein != value:
                 raise ScanViolation(
                     format_word(word), f"skein gives {via_skein}, matrix gives {value}"
                 )
             values.append(value.coeffs)
             if not last:
-                skein_memo[word] = value
+                here[word] = value
                 if children is None:
                     braid[2] = [
                         braid_record(word + letter, matrix * letter_matrix)
                         for letter, letter_matrix in zip(_LETTER_BYTES, letter_matrices)
                     ]
         if not last:
-            kept.append(words)
+            two_below, one_below = one_below, here
             level = (child for braid in level for child in braid[2])
             words = (word + letter for word in words for letter in _LETTER_BYTES)
-            # Only a level that is kept is held whole; the last is walked as made.
+            # A level below the last is held whole; the last is walked as made.
             if length + 1 < max_len:
                 level, words = list(level), list(words)
     return found

@@ -17,7 +17,7 @@ object of them, and the successor of x is (x + 1) % 3.  ``parse_word`` and
 ``format_word`` spell the letters 1, 2, 13.  ``format_word``,
 ``to_band_word``, ``conway_via_skein`` and ``resolve`` take any iterable of
 letters and make it bytes through ``_as_word``, the one check of a letter;
-``classify_leaf`` and the resolution step take bytes only.
+``classify_leaf``, ``value_by_step`` and the resolution step take bytes.
 
 The Conway polynomial of a closed positive band word resolves by a binary
 tree.  At a doubled letter (a "square") w = P x x Q the skein relation
@@ -45,14 +45,13 @@ builds nodes up to ``TREE_NODE_LIMIT``, each with its value, which the
 tree writers read.  Nothing recurses, so length sets no depth limit.
 
 A value depends only on the braid, and many words spell one braid, so
-below the word that it is asked for ``conway_via_skein`` folds braids.
-Each is keyed by its left normal form delta^p u (Birman, Ko and Lee),
-delta = G23 G12 written as the byte 3, which no letter is, and
-``_braid_step`` splits a square of the form and gives both children as
-normal forms, so no braid below the word needs its key computed from a
-spelling.  The word itself still takes its own resolution step; its two
-children are looked up by word, then by normal form, and only then
-folded.
+``conway_via_skein`` folds braids, each keyed by its left normal form
+delta^p u (Birman, Ko and Lee), delta = G23 G12 written as the byte 3,
+which no letter is.  ``_braid_step`` splits a square of the form and
+gives both children as normal forms, so only the asked word's key is
+computed from a spelling.  ``value_by_step`` gives one word its value
+by its own resolution step, its children read from the caller's dicts
+of words two and one letters shorter; ``scan`` checks every word so.
 """
 
 from __future__ import annotations
@@ -523,7 +522,7 @@ def tree_to_dot(root: Node) -> str:
 #: Entries kept by the combine cache.  Inner keys see few distinct pairs
 #: of child values: ``scan --max-len 9`` combines 29 505 times, once per
 #: inner word, on 129 pairs (443 at length 11), a 25-word ``long`` round
-#: 1240 times on 685, and 100 such words, over one memo, meet 2464.
+#: 1060 to 1650 times on 590 to 1070, and 100 over one memo meet 2175.
 _COMBINE_MEMO_SIZE = 4096
 
 
@@ -554,43 +553,21 @@ def _value(word: Word, kind: LeafKind | None, lo: ZPoly, hi: ZPoly) -> ZPoly:
     return _combine(lo, hi) if kind is None else leaf_conway(kind, len(word) // 3)
 
 
-#: The memo of word and braid values that conway_via_skein uses by default.
+#: The memo of braid values that conway_via_skein uses by default.
 _MEMO: dict[bytes, ZPoly] = {}
 
 #: Entries past which conway_via_skein clears _MEMO before it folds.  A
-#: 25-word ``long`` round fills 1300 to 1900; a fresh memo per word is
-#: about 1.5 times slower.
+#: 25-word ``long`` round fills 1070 to 1670; a fresh memo per word is
+#: 1.6 to 1.9 times as slow.
 _MEMO_LIMIT = 2**17
 
 
-def _braid_value(word: Word, memo: dict[bytes, ZPoly]) -> ZPoly:
-    """The value of the braid that word spells, folded into memo on a miss.
-
-    memo is read under word, then under its braid's normal form; only
-    when both miss is the form folded.  The value is kept under both, so
-    a sweep that meets word again needs no normal form.
-    """
-    value = memo.get(word)
-    if value is None:
-        key = _normal_form(word)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = _fold(key, memo, _value, _braid_step)
-        memo[word] = value
-    return value
-
-
-def conway_via_skein(
-    w: Iterable[int], memo: dict[bytes, ZPoly] | None = None
-) -> ZPoly:
+def conway_via_skein(w: Iterable[int], memo: dict[bytes, ZPoly] | None = None) -> ZPoly:
     """The Conway polynomial of the closure of w, by resolution.
 
-    w always takes its own resolution step.  Each child is looked up in
-    memo by its word, then by its braid's left normal form, and only when
-    both miss is that braid folded, with each braid below it keyed by its
-    normal form alone; the child's value is kept under both keys, so
-    sweeping many related words stays cheap.  w's own value is not
-    stored, since a sweep asks for each word once.
+    w's braid is looked up in memo by its left normal form, and on a miss
+    folded as that form and stored under it, with each braid below it, so
+    memo holds normal forms only; a form with no delta is its own word.
     Without a memo, a module-wide one is used, which lives as long as the
     process and is cleared before a fold once it holds more than
     _MEMO_LIMIT entries.  The value returned may be one object shared with
@@ -600,9 +577,30 @@ def conway_via_skein(
         if len(_MEMO) > _MEMO_LIMIT:
             _MEMO.clear()
         memo = _MEMO
-    word = _as_word(w)
+    key = _normal_form(_as_word(w))
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _fold(key, memo, _value, _braid_step)
+    return value
+
+
+def value_by_step(
+    word: Word, two_below: dict[Word, ZPoly], one_below: dict[Word, ZPoly], cold: dict
+) -> ZPoly:
+    """The value of word by its own resolution step.
+
+    A leaf takes its leaf value.  Otherwise the erased child is read from
+    two_below and the reduced one from one_below, the values by word of the
+    two levels below; a miss is stored there, by ``conway_via_skein`` over cold.
+    """
     kind = classify_leaf(word)
     if kind is not None:
         return leaf_conway(kind, len(word) // 3)
     erased, reduced = _resolution_step(word)
-    return _combine(_braid_value(erased, memo), _braid_value(reduced, memo))
+    lo = two_below.get(erased)
+    if lo is None:
+        lo = two_below[erased] = conway_via_skein(erased, cold)
+    hi = one_below.get(reduced)
+    if hi is None:
+        hi = one_below[reduced] = conway_via_skein(reduced, cold)
+    return _combine(lo, hi)

@@ -167,6 +167,16 @@ def test_a_letter_is_the_identity_plus_a_rank_one_term():
             assert row == [u if i - 1 <= c < j - 1 else ZERO for c in range(n - 1)]
 
 
+def test_a_letters_entries_carry_exact_coefficient_bounds():
+    # Each entry's bound is the sum of its absolute coefficients, so that
+    # products of letters stay at the narrow width as long as they can:
+    # sigma_i's -s^2 is not built as 1 + (-1 - s^2) with bound 3.
+    for n, letter, _, _ in _every_letter(9):
+        for row in burau._letter_matrix.__wrapped__(n, letter).entries:
+            for entry in row:
+                assert entry._b == sum(abs(c) for _, c in entry.items()), (n, letter)
+
+
 def _dense_product(a, b):
     """a * b with every entry summed from its products, no column reused."""
     size = a.size

@@ -375,17 +375,18 @@ def test_scan_takes_one_normalization_per_braid(monkeypatch):
 
 
 def test_scan_takes_no_normal_form_and_folds_no_braid(monkeypatch):
-    # Each word's children in its resolution step are plain words one
-    # and two letters shorter, and the walk keeps the two levels below
-    # the current one under their own words, so a walk from the empty
-    # word finds every child by its spelling: it takes no normal form
-    # and folds no braid.  The memo that a word meets never holds more
-    # than the three levels below it.
+    # Each word's children in its resolution step are words two and one
+    # letters shorter, and the walk keeps the values of the two levels
+    # below the current one in one dict each, so a walk from the empty
+    # word finds every child there: it takes no normal form, folds no
+    # braid and leaves its cold memo empty.  A word at length k meets the
+    # dicts of lengths k - 2 and k - 1, whole; the dict of its own length,
+    # the third, is the next level's one below.
     from braidconway import cli, skein3
 
     calls = {"normal form": 0, "braid step": 0}
-    normal_form, braid_step, skein = (
-        skein3._normal_form, skein3._braid_step, cli.conway_via_skein
+    normal_form, braid_step, step = (
+        skein3._normal_form, skein3._braid_step, cli.value_by_step
     )
 
     def counted_normal_form(word):
@@ -396,22 +397,25 @@ def test_scan_takes_no_normal_form_and_folds_no_braid(monkeypatch):
         calls["braid step"] += 1
         return braid_step(key)
 
-    largest = 0
+    sizes = []
 
-    def measured_skein(word, memo):
-        nonlocal largest
-        largest = max(largest, len(memo))
-        return skein(word, memo)
+    def measured_step(word, two_below, one_below, cold):
+        value = step(word, two_below, one_below, cold)
+        sizes.append((len(word), len(two_below), len(one_below), len(cold)))
+        return value
 
     monkeypatch.setattr(skein3, "_normal_form", counted_normal_form)
     monkeypatch.setattr(skein3, "_braid_step", counted_braid_step)
-    monkeypatch.setattr(cli, "conway_via_skein", measured_skein)
+    monkeypatch.setattr(cli, "value_by_step", measured_step)
     for max_len in range(9):
-        largest = 0
+        sizes.clear()
         cli._scan_subtree(((),), max_len)
         assert calls == {"normal form": 0, "braid step": 0}
-        assert largest <= sum(3**k for k in range(max_len - 3, max_len) if k >= 0)
-    assert largest == 3**7 + 3**6 + 3**5 - 1
+        assert len(sizes) == (3 ** (max_len + 1) - 1) // 2
+        for length, two, one, cold in sizes:
+            below = [3 ** (length - k) if length >= k else 0 for k in (2, 1)]
+            assert [two, one, cold] == below + [0]
+    assert max(two + one for _, two, one, _ in sizes) == 3**7 + 3**6
 
 
 def test_scan_skein_memo_lives_for_one_walk(monkeypatch):
@@ -434,6 +438,34 @@ def test_scan_skein_memo_lives_for_one_walk(monkeypatch):
         cli._scan_subtree(((),), 6)
         counts.append(calls)
     assert counts[0] == counts[1] > 3**6
+
+
+def test_scan_worker_cold_memo_holds_few_braids(monkeypatch):
+    # A --jobs 2 worker walks one group of the depth-3 prefixes, so the
+    # children that extend none of them are folded cold.  Their values go
+    # with their level's dict; the walk's one cold memo keeps normal forms
+    # only, so it holds at most the 2^10 - 1 braids of length <= 9.
+    from itertools import product
+
+    from braidconway import cli, skein3
+
+    colds = {}
+    step = cli.value_by_step
+
+    def recorded_step(word, two_below, one_below, cold):
+        colds[id(cold)] = cold
+        return step(word, two_below, one_below, cold)
+
+    monkeypatch.setattr(cli, "value_by_step", recorded_step)
+    prefixes = list(product(skein3.LETTERS, repeat=cli.SPLIT_DEPTH))
+    half = len(prefixes) // 2
+    for group in (prefixes[:half], prefixes[half:]):
+        colds.clear()
+        cli._scan_subtree(tuple(group), 10)
+        (cold,) = colds.values()
+        assert 0 < len(cold) < 2**10
+        for key in cold:
+            assert skein3._normal_form(key.replace(skein3._DELTA, b"\x01\x00")) == key
 
 
 def test_scan_takes_each_words_own_resolution_step(monkeypatch):
@@ -503,12 +535,12 @@ def test_scan_stops_when_the_routes_disagree(capsys, tmp_path, monkeypatch):
     from braidconway.skein3 import parse_word
 
     chosen = parse_word("1 2 13")
-    skein = cli.conway_via_skein
+    step = cli.value_by_step
     wrong = ZPoly((0, 2, 0, 1))
     monkeypatch.setattr(
         cli,
-        "conway_via_skein",
-        lambda w, memo: wrong if w == chosen else skein(w, memo),
+        "value_by_step",
+        lambda w, *dicts: wrong if w == chosen else step(w, *dicts),
     )
     err = _scan_failure(capsys, tmp_path)
     assert err == (
@@ -526,12 +558,12 @@ def test_scan_stops_at_a_negative_coefficient(capsys, tmp_path, monkeypatch):
 
     chosen = parse_word("1 2 13")
     chosen_matrix = burau_rep(to_band_word(chosen))
-    skein, matrix = cli.conway_via_skein, cli.conway_from_matrix
+    step, matrix = cli.value_by_step, cli.conway_from_matrix
     negative = ZPoly((0, 2, -1))
     monkeypatch.setattr(
         cli,
-        "conway_via_skein",
-        lambda w, memo: negative if w == chosen else skein(w, memo),
+        "value_by_step",
+        lambda w, *dicts: negative if w == chosen else step(w, *dicts),
     )
     monkeypatch.setattr(
         cli,
@@ -556,11 +588,11 @@ def test_scan_compares_every_word_even_for_a_value_already_checked(
     from braidconway.skein3 import parse_word
 
     chosen = parse_word("13 13 13 13 13 13")
-    skein = cli.conway_via_skein
+    step = cli.value_by_step
     monkeypatch.setattr(
         cli,
-        "conway_via_skein",
-        lambda w, memo: ZPoly((1,)) if w == chosen else skein(w, memo),
+        "value_by_step",
+        lambda w, *dicts: ZPoly((1,)) if w == chosen else step(w, *dicts),
     )
     out_path = tmp_path / "scan.jsonl"
     code, out, err = run(capsys, "scan", "--max-len", "6", "--out", str(out_path))
@@ -592,14 +624,14 @@ def test_scan_names_the_first_spelling_of_a_negative_braid(
 
     chosen = parse_word(braid)
     chosen_key = (burau_rep(to_band_word(chosen)), len(chosen))
-    skein, matrix = cli.conway_via_skein, cli.conway_from_matrix
+    step, matrix = cli.value_by_step, cli.conway_from_matrix
     negative = ZPoly((0, 2, -1))
     monkeypatch.setattr(
         cli,
-        "conway_via_skein",
-        lambda w, memo: negative
+        "value_by_step",
+        lambda w, *dicts: negative
         if (burau_rep(to_band_word(w)), len(w)) == chosen_key
-        else skein(w, memo),
+        else step(w, *dicts),
     )
     monkeypatch.setattr(
         cli,

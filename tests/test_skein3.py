@@ -576,37 +576,34 @@ def _spelled(key):
 
 
 def _check_memo_keys(memo, word, keys):
-    # Each of keys is one of word's two children, kept under its own
-    # spelling, or the normal form of a braid shorter than word; never
-    # word itself.  keys in memo hold the value of the braid they spell.
+    # Each of keys is the normal form of a braid no longer than word, the
+    # braid of word itself or one below it.  keys in memo hold the value
+    # of the braid they spell.
     word = bytes(word)
-    children = skein3._resolution_step(word)
-    assert word not in keys
     for key in keys:
         assert type(key) is bytes
         spelling = _spelled(key)
-        assert key in children or skein3._normal_form(spelling) == key, key
-        assert len(spelling) < len(word), key
+        assert skein3._normal_form(spelling) == key, key
+        assert len(spelling) <= len(word), key
         assert memo[key] == resolve(spelling).value, key
 
 
-def test_conway_via_skein_memoizes_subwords_not_the_word(monkeypatch):
-    # A sweep asks for each word once, so only the values below the word
-    # are kept, in the memo that the caller passes: the word's two
-    # children under their words and their braids' normal forms, and
-    # every braid folded below them under its normal form alone.
+def test_conway_via_skein_memoizes_braids_by_normal_form(monkeypatch):
+    # Values are kept in the memo that the caller passes, each under the
+    # normal form of its braid alone: the word's own braid and every braid
+    # folded below it, never a spelling that is not a form.
     word = w("1 2 1 2 13 2 2 1")
     memo = {}
     value = conway_via_skein(word, memo)
     tree = resolve(word)
 
     _check_memo_keys(memo, word, memo)
-    for node in (tree.left, tree.right):
-        assert memo[node.word] == memo[skein3._normal_form(node.word)] == node.value
+    assert memo[skein3._normal_form(word)] == value == tree.value
+    assert word not in memo
     for sub in _proper_subwords(tree):
-        for key in (sub, skein3._normal_form(sub)):
-            if key in memo:
-                assert memo[key] == conway_via_skein(sub)
+        key = skein3._normal_form(sub)
+        if key in memo:
+            assert memo[key] == conway_via_skein(sub)
     assert conway_via_skein(word, {}) == value
 
     classified = []
@@ -615,7 +612,22 @@ def test_conway_via_skein_memoizes_subwords_not_the_word(monkeypatch):
         skein3, "classify_leaf", lambda v: classified.append(v) or classify(v)
     )
     assert conway_via_skein(word, memo) == value
-    assert classified == [word]
+    assert classified == []
+
+
+def test_conway_via_skein_memo_holds_only_normal_forms():
+    # After any call, over a fresh memo or one shared by many words, each
+    # key is the normal form of the braid that it spells.
+    rng = random.Random(3141)
+    shared = {}
+    for _ in range(200):
+        word = _random_word(rng, 14)
+        fresh = {}
+        for memo in (fresh, shared):
+            conway_via_skein(word, memo)
+            assert all(skein3._normal_form(_spelled(key)) == key for key in memo)
+        for key in fresh.keys() & shared.keys():
+            assert fresh[key] == shared[key], format_word(word)
 
 
 def test_both_folds_agree_where_braids_share_values():
@@ -629,9 +641,10 @@ def test_both_folds_agree_where_braids_share_values():
 
 
 def test_braid_keys_resolve_fewer_subwords(monkeypatch):
-    # The 24-letter word's tree has 577 distinct subwords.  Below the word
-    # the value fold folds braids, each once, and takes 49 braid steps;
-    # resolve, which keeps a node per word, still classifies all 577.
+    # The 24-letter word's tree has 577 distinct subwords.  The value fold
+    # folds braids, the word's own included, each once, and takes 50
+    # braid steps; resolve, which keeps a node per word, still classifies
+    # all 577.
     word = w("2 1 13 13 13 2 1 1 2 2 13 2 1 2 1 1 1 2 13 13 13 2 1 13")
     stepped = []
     braid_step = skein3._braid_step
@@ -640,8 +653,8 @@ def test_braid_keys_resolve_fewer_subwords(monkeypatch):
     )
     memo = {}
     value = conway_via_skein(word, memo)
-    assert len(stepped) == len(set(stepped)) == 49
-    assert len(memo) == 57
+    assert len(stepped) == len(set(stepped)) == 50
+    assert len(memo) == 56
     classified = []
     classify = skein3.classify_leaf
     monkeypatch.setattr(
