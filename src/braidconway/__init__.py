@@ -12,9 +12,11 @@ imports from its submodule (``braid``, ``burau``, ``polyring``,
 """
 
 from .braid import parse_band
-from .burau import conway_via_burau, full_twist_difference
+from .burau import conway_via_burau
 from .polyring import LaurentPoly, NotInImage, ZPoly, laurent_to_z
-from .skein3 import conway_via_skein, parse_word, resolve, tree_to_dot
+from .skein3 import (
+    conway_via_skein, full_twist_difference, parse_word, resolve, tree_to_dot
+)
 
 __version__ = "0.1.0"
 

@@ -13,7 +13,8 @@ quotient is a polynomial in z = s^-1 - s, so a failure of either step
 means the matrices or the normalization are wrong; it surfaces as
 InternalInconsistency rather than a value error.  The sign, the monomial
 and the bracket are pinned by fixed two-, three- and six-strand closures
-in the test suite.
+in the test suite.  The closed-form full-twist shift that ``verify``
+checks against this route is ``skein3.full_twist_difference``.
 
 The normalization after the determinant depends only on (n, e,
 det(M - Id)), and few such triples occur, so ``_normalize`` keeps a
@@ -28,12 +29,10 @@ from functools import cached_property, lru_cache
 
 from .braid import ArtinWord, BandWord, IndexOutOfRange
 from .polyring import (
-    Z,
     LaurentPoly,
     NotDivisible,
     NotInImage,
     ZPoly,
-    fibonacci_poly,
     laurent_to_z,
     quantum_bracket,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "burau_rep",
     "conway_from_matrix",
     "conway_via_burau",
-    "full_twist_difference",
 ]
 
 
@@ -287,21 +285,3 @@ def conway_via_burau(word: ArtinWord | BandWord) -> ZPoly:
         return ZPoly()
     return conway_from_matrix(burau_rep(word), word.exponent_sum())
 
-
-def full_twist_difference(e: int, k: int) -> ZPoly:
-    """Conway shift caused by k full twists on 3 strands.
-
-    For a 3-strand word with exponent sum e, appending the k-th power of
-    the full twist changes the closure's Conway polynomial by
-
-        z * sum_{i<k} (F_{e+6i+4} + F_{e+6i+2})
-
-    in Fibonacci polynomials.  Checked against the matrix route in the
-    tests for both signs of e.
-    """
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    total = ZPoly()
-    for i in range(k):
-        total = total + fibonacci_poly(e + 6 * i + 4) + fibonacci_poly(e + 6 * i + 2)
-    return Z * total

@@ -13,7 +13,7 @@ import random
 from itertools import product
 
 from .braid import ArtinWord, half_twist, parse_artin, parse_band
-from .burau import BurauMatrix, burau_rep, conway_via_burau, full_twist_difference
+from .burau import BurauMatrix, burau_rep, conway_via_burau
 from .polyring import (
     Z_IN_S,
     LaurentPoly,
@@ -27,6 +27,7 @@ from .skein3 import (
     LeafKind,
     conway_via_skein,
     format_word,
+    full_twist_difference,
     leaf_conway,
     to_band_word,
 )

@@ -119,12 +119,12 @@ def _scan_subtree(
     one letters shorter, read from the dicts of values of the two levels
     below, so a walk from the empty word takes no normal form and folds
     no braid.  A walk from longer prefixes folds each child that does not
-    extend them into one cold memo of normal forms, and keeps its value in
-    the child's level dict, which goes with that level.  The walk's dicts
-    live for this call only, and no function refers to itself, so they go
-    as soon as it returns; the skein combine cache that it shares with the
-    rest of the process is bounded and pure, so what ran before a task can
-    save it work but cannot change its results.
+    extend them by ``conway_via_skein``, over the module memo, and keeps
+    its value in the child's level dict, which goes with that level.  The
+    walk's dicts live for this call only, and no function refers to
+    itself, so they go as soon as it returns; the skein memo and combine
+    cache that it shares with the process are bounded and pure, so what
+    ran before a task can save it work but cannot change its results.
     """
     found: dict[int, list[tuple[int, ...]]] = {
         length: [] for length in range(len(prefixes[0]), max_len + 1)
@@ -148,13 +148,12 @@ def _scan_subtree(
     level = [braid_record(word, burau_rep(to_band_word(word))) for word in words]
     two_below: dict[Word, ZPoly] = {}
     one_below: dict[Word, ZPoly] = {}
-    cold: dict[bytes, ZPoly] = {}
     for length, values in found.items():
         last = length == max_len
         here: dict[Word, ZPoly] = {}
         for word, braid in zip(words, level):
             matrix, value, children = braid
-            via_skein = value_by_step(word, two_below, one_below, cold)
+            via_skein = value_by_step(word, two_below, one_below)
             if via_skein != value:
                 raise ScanViolation(
                     format_word(word), f"skein gives {via_skein}, matrix gives {value}"

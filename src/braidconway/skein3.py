@@ -32,11 +32,12 @@ on which neither move fires are the leaves:
 * two distinct letters (an unknot),
 * the ascending cycles, i.e. rotations of (G12 G23 G13)^k.
 
-Each leaf has a known Conway polynomial, and the value of the whole word
-is the sum over leaves of z^(number of weight-z edges on the path) times
-the leaf value.  One function, ``_resolution_step``, makes the move at
-every node, deterministically and leftmost-first, so the same word always
-produces the same tree.
+Each leaf has a known Conway polynomial; the ascending cycle's is the
+shift of k full twists, ``full_twist_difference(-3k, k)``.  The value of
+the whole word is the sum over leaves of z^(number of weight-z edges on
+the path) times the leaf value.  One function, ``_resolution_step``,
+makes the move at every node, deterministically and leftmost-first, so
+the same word always produces the same tree.
 
 One explicit-stack pass folds a tree from the leaves up, over a memo
 that its caller owns and a step function that gives each inner key its
@@ -49,9 +50,9 @@ A value depends only on the braid, and many words spell one braid, so
 delta^p u (Birman, Ko and Lee), delta = G23 G12 written as the byte 3,
 which no letter is.  ``_braid_step`` splits a square of the form and
 gives both children as normal forms, so only the asked word's key is
-computed from a spelling.  ``value_by_step`` gives one word its value
-by its own resolution step, its children read from the caller's dicts
-of words two and one letters shorter; ``scan`` checks every word so.
+computed from a spelling.  ``value_by_step`` gives a word its value by
+its own resolution step, its children read from the caller's dicts of
+the two levels below, or folded on a miss; ``scan`` checks every word so.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ __all__ = [
     "TREE_NODE_LIMIT",
     "TreeTooLarge",
     "leaf_conway",
+    "full_twist_difference",
     "conway_via_skein",
     "tree_to_json",
     "tree_to_dot",
@@ -420,8 +422,10 @@ def leaf_conway(leaf: LeafKind, k: int = 0) -> ZPoly:
 
     Empty and single-letter closures have split components, value 0; two
     distinct letters close to the unknot, value 1.  The ascending cycle
-    (G12 G23 G13)^k closes to a link whose value vanishes for even k and
-    for odd k equals 2z * sum_{i<k} F_{6i+4-3k}.
+    (G12 G23 G13)^k closes to a link whose value is the shift of k full
+    twists at exponent sum -3k.  Pairing i with k - 1 - i, the reflection
+    F_{-m} = (-1)^(m+1) F_m makes that 2z * sum_{i<k} F_{6i+4-3k} for odd
+    k and 0 for even k.
     """
     if leaf in (LeafKind.EMPTY, LeafKind.SINGLE_LETTER):
         return ZPoly()
@@ -431,12 +435,23 @@ def leaf_conway(leaf: LeafKind, k: int = 0) -> ZPoly:
         raise ValueError(f"unknown leaf kind {leaf!r}")
     if k < 1:
         raise ValueError(f"triple power needs k >= 1, got {k}")
-    if k % 2 == 0:
-        return ZPoly()
+    return full_twist_difference(-3 * k, k)
+
+
+def full_twist_difference(e: int, k: int) -> ZPoly:
+    """Conway shift caused by k full twists on 3 strands.
+
+    Appending the k-th power of the full twist to a 3-strand word of
+    exponent sum e changes its closure's Conway polynomial by
+    z * sum_{i<k} (F_{e+6i+4} + F_{e+6i+2}), in Fibonacci polynomials;
+    ``verify`` checks it against the matrix route for both signs of e.
+    """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
     total = ZPoly()
     for i in range(k):
-        total = total + fibonacci_poly(6 * i + 4 - 3 * k)
-    return 2 * Z * total
+        total = total + fibonacci_poly(e + 6 * i + 4) + fibonacci_poly(e + 6 * i + 2)
+    return Z * total
 
 
 def _walk(root: Node):
@@ -556,9 +571,10 @@ def _value(word: Word, kind: LeafKind | None, lo: ZPoly, hi: ZPoly) -> ZPoly:
 #: The memo of braid values that conway_via_skein uses by default.
 _MEMO: dict[bytes, ZPoly] = {}
 
-#: Entries past which conway_via_skein clears _MEMO before it folds.  A
-#: 25-word ``long`` round fills 1070 to 1670; a fresh memo per word is
-#: 1.6 to 1.9 times as slow.
+#: Entries, not bytes, past which conway_via_skein clears _MEMO before it
+#: folds.  A 25-word ``long`` round fills 1070 to 1670, where a fresh memo
+#: per word is 1.6 to 1.9 times as slow, and the two workers of ``scan
+#: --max-len 11 --jobs 2`` 1693 and 1496, about twice as many per length.
 _MEMO_LIMIT = 2**17
 
 
@@ -585,13 +601,14 @@ def conway_via_skein(w: Iterable[int], memo: dict[bytes, ZPoly] | None = None) -
 
 
 def value_by_step(
-    word: Word, two_below: dict[Word, ZPoly], one_below: dict[Word, ZPoly], cold: dict
+    word: Word, two_below: dict[Word, ZPoly], one_below: dict[Word, ZPoly]
 ) -> ZPoly:
     """The value of word by its own resolution step.
 
     A leaf takes its leaf value.  Otherwise the erased child is read from
     two_below and the reduced one from one_below, the values by word of the
-    two levels below; a miss is stored there, by ``conway_via_skein`` over cold.
+    two levels below; a miss is folded by ``conway_via_skein`` over the
+    module memo and stored in the child's level dict.
     """
     kind = classify_leaf(word)
     if kind is not None:
@@ -599,8 +616,8 @@ def value_by_step(
     erased, reduced = _resolution_step(word)
     lo = two_below.get(erased)
     if lo is None:
-        lo = two_below[erased] = conway_via_skein(erased, cold)
+        lo = two_below[erased] = conway_via_skein(erased)
     hi = one_below.get(reduced)
     if hi is None:
-        hi = one_below[reduced] = conway_via_skein(reduced, cold)
+        hi = one_below[reduced] = conway_via_skein(reduced)
     return _combine(lo, hi)

@@ -17,9 +17,9 @@ from braidconway.burau import (
     burau_rep,
     conway_from_matrix,
     conway_via_burau,
-    full_twist_difference,
 )
 from braidconway.polyring import LaurentPoly, Z, ZPoly, fibonacci_poly
+from braidconway.skein3 import full_twist_difference
 
 ONE = LaurentPoly({0: 1})
 ZERO = LaurentPoly()

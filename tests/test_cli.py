@@ -379,7 +379,7 @@ def test_scan_takes_no_normal_form_and_folds_no_braid(monkeypatch):
     # letters shorter, and the walk keeps the values of the two levels
     # below the current one in one dict each, so a walk from the empty
     # word finds every child there: it takes no normal form, folds no
-    # braid and leaves its cold memo empty.  A word at length k meets the
+    # braid and leaves the skein memo empty.  A word at length k meets the
     # dicts of lengths k - 2 and k - 1, whole; the dict of its own length,
     # the third, is the next level's one below.
     from braidconway import cli, skein3
@@ -399,11 +399,12 @@ def test_scan_takes_no_normal_form_and_folds_no_braid(monkeypatch):
 
     sizes = []
 
-    def measured_step(word, two_below, one_below, cold):
-        value = step(word, two_below, one_below, cold)
-        sizes.append((len(word), len(two_below), len(one_below), len(cold)))
+    def measured_step(word, two_below, one_below):
+        value = step(word, two_below, one_below)
+        sizes.append((len(word), len(two_below), len(one_below)))
         return value
 
+    monkeypatch.setattr(skein3, "_MEMO", {})
     monkeypatch.setattr(skein3, "_normal_form", counted_normal_form)
     monkeypatch.setattr(skein3, "_braid_step", counted_braid_step)
     monkeypatch.setattr(cli, "value_by_step", measured_step)
@@ -411,16 +412,18 @@ def test_scan_takes_no_normal_form_and_folds_no_braid(monkeypatch):
         sizes.clear()
         cli._scan_subtree(((),), max_len)
         assert calls == {"normal form": 0, "braid step": 0}
+        assert skein3._MEMO == {}
         assert len(sizes) == (3 ** (max_len + 1) - 1) // 2
-        for length, two, one, cold in sizes:
+        for length, two, one in sizes:
             below = [3 ** (length - k) if length >= k else 0 for k in (2, 1)]
-            assert [two, one, cold] == below + [0]
-    assert max(two + one for _, two, one, _ in sizes) == 3**7 + 3**6
+            assert [two, one] == below
+    assert max(two + one for _, two, one in sizes) == 3**7 + 3**6
 
 
 def test_scan_skein_memo_lives_for_one_walk(monkeypatch):
-    # Each walk classifies every subword it meets again: no skein memo
-    # outlives its walk.
+    # Each walk from the empty word classifies every subword it meets
+    # again: its level dicts do not outlive it, and it folds nothing into
+    # the module memo.
     from braidconway import cli, skein3
 
     calls = 0
@@ -440,31 +443,24 @@ def test_scan_skein_memo_lives_for_one_walk(monkeypatch):
     assert counts[0] == counts[1] > 3**6
 
 
-def test_scan_worker_cold_memo_holds_few_braids(monkeypatch):
+def test_scan_worker_skein_memo_holds_few_braids(monkeypatch):
     # A --jobs 2 worker walks one group of the depth-3 prefixes, so the
-    # children that extend none of them are folded cold.  Their values go
-    # with their level's dict; the walk's one cold memo keeps normal forms
-    # only, so it holds at most the 2^10 - 1 braids of length <= 9.
+    # children that extend none of them are folded cold, over the skein
+    # memo.  Their values go with their level's dict; the memo keeps
+    # normal forms only, so it holds at most the 2^10 - 1 braids of
+    # length <= 9.
     from itertools import product
 
     from braidconway import cli, skein3
 
-    colds = {}
-    step = cli.value_by_step
-
-    def recorded_step(word, two_below, one_below, cold):
-        colds[id(cold)] = cold
-        return step(word, two_below, one_below, cold)
-
-    monkeypatch.setattr(cli, "value_by_step", recorded_step)
     prefixes = list(product(skein3.LETTERS, repeat=cli.SPLIT_DEPTH))
     half = len(prefixes) // 2
     for group in (prefixes[:half], prefixes[half:]):
-        colds.clear()
+        monkeypatch.setattr(skein3, "_MEMO", {})
         cli._scan_subtree(tuple(group), 10)
-        (cold,) = colds.values()
-        assert 0 < len(cold) < 2**10
-        for key in cold:
+        memo = skein3._MEMO
+        assert 0 < len(memo) < 2**10
+        for key in memo:
             assert skein3._normal_form(key.replace(skein3._DELTA, b"\x01\x00")) == key
 
 

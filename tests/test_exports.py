@@ -20,3 +20,11 @@ def test_every_exported_name_resolves(module):
     assert mod.__all__
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_full_twist_difference_lives_beside_the_leaf_it_equals():
+    import braidconway
+    from braidconway import burau, skein3
+
+    assert braidconway.full_twist_difference is skein3.full_twist_difference
+    assert not hasattr(burau, "full_twist_difference")

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from braidconway import skein3
 from braidconway.braid import ParseError
 from braidconway.burau import burau_rep, conway_via_burau
-from braidconway.polyring import Z, ZPoly
+from braidconway.polyring import Z, ZPoly, fibonacci_poly
 from braidconway.skein3 import (
     LETTERS,
     LeafKind,
     classify_leaf,
     conway_via_skein,
     format_word,
+    full_twist_difference,
     leaf_conway,
     parse_word,
     resolve,
@@ -208,6 +209,26 @@ def test_odd_cycle_leaf_matches_matrix_route():
         assert leaf_conway(LeafKind.TRIPLE_POWER, k) == conway_via_burau(
             to_band_word(cycle)
         )
+
+
+def test_cycle_leaf_is_the_full_twist_shift():
+    # The reference is the sum itself: 2z times the sum of F_{6i+4-3k}
+    # over i < k for odd k, and 0 for even k.
+    for k in range(1, 61):
+        want = ZPoly()
+        if k % 2:
+            for i in range(k):
+                want = want + fibonacci_poly(6 * i + 4 - 3 * k)
+            want = 2 * Z * want
+        leaf = leaf_conway(LeafKind.TRIPLE_POWER, k)
+        assert leaf == want == full_twist_difference(-3 * k, k), k
+
+
+def test_odd_cycle_leaf_has_no_negative_coefficient():
+    # The sign that the paper's induction needs of its one non-trivial leaf.
+    for k in range(1, 102, 2):
+        leaf = leaf_conway(LeafKind.TRIPLE_POWER, k)
+        assert leaf.coeffs and leaf.is_nonneg(), k
 
 
 def test_triple_power_needs_positive_k():
