@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+import re
 from typing import TypeVar
 
 __all__ = [
@@ -158,6 +159,17 @@ class BandWord(_Word):
         )
 
 
+_INDEX = re.compile(r"-?[0-9]+")
+
+
+def _index(text: str) -> int:
+    """ASCII digits after an optional minus; int() also reads '+1', '1_0'
+    and non-ASCII digits."""
+    if not _INDEX.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_artin(text: str, n: int) -> ArtinWord:
     """Read a whitespace-separated list of signed generator indices.
 
@@ -167,7 +179,7 @@ def parse_artin(text: str, n: int) -> ArtinWord:
     letters: list[tuple[int, int]] = []
     for token in text.split():
         try:
-            k = int(token)
+            k = _index(token)
         except ValueError:
             raise ParseError(f"bad Artin letter {token!r}") from None
         if k == 0:
@@ -193,7 +205,7 @@ def parse_band(text: str, n: int) -> BandWord:
         if not colon:
             raise ParseError(f"bad band letter {token!r}: expected i:j")
         try:
-            i, j = int(i_text), int(j_text)
+            i, j = _index(i_text), _index(j_text)
         except ValueError:
             raise ParseError(f"bad band letter {token!r}") from None
         letters.append((i, j, sign))

@@ -2,8 +2,10 @@
 
 A word on n strands maps to an (n-1)x(n-1) matrix over the Laurent ring
 in s, the product of its letters' matrices, each the identity plus one
-rank-one term.  The Conway polynomial of its closure is a normalized
-determinant:
+rank-one term.  A matrix is multiplied by a word letter by letter, and a
+letter rewrites only the columns it moves, which are built in closed
+form and cached.  The Conway polynomial of the word's closure is a
+normalized determinant:
 
     conway = laurent_to_z( (-1)^(n+1) * s^(-e) * det(M - Id) / bracket(n) )
 
@@ -25,9 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .braid import ArtinWord, BandWord, IndexOutOfRange
+from .braid import ArtinWord, BandWord, IndexOutOfRange, StrandMismatch
 from .polyring import (
     LaurentPoly,
     NotDivisible,
@@ -59,9 +61,8 @@ class InternalInconsistency(RuntimeError):
 class BurauMatrix:
     """A square matrix over the Laurent ring, tagged with its strand count.
 
-    The size is n - 1, so the 2-strand group gets 1x1 matrices.  The
-    columns that differ from the identity's are found on first use and
-    kept: a letter matrix is the right factor of many products.
+    The size is n - 1, so the 2-strand group gets 1x1 matrices.  Its one
+    product is by a word on the same n, ``matrix * word``.
     """
 
     n: int
@@ -73,15 +74,6 @@ class BurauMatrix:
             raise ValueError(f"need at least 2 strands, got {self.n}")
         if len(self.entries) != size or any(len(row) != size for row in self.entries):
             raise ValueError(f"entries must form a {size}x{size} matrix")
-
-    @classmethod
-    def _unchecked(
-        cls, n: int, entries: tuple[tuple[LaurentPoly, ...], ...]
-    ) -> BurauMatrix:
-        """A matrix whose shape the caller vouches for, built without validation."""
-        m = object.__new__(cls)
-        m.__dict__.update(n=n, entries=entries)
-        return m
 
     @property
     def size(self) -> int:
@@ -96,40 +88,32 @@ class BurauMatrix:
         )
         return cls(n, rows)
 
-    @cached_property
-    def _moved_columns(self) -> tuple[tuple[int, tuple[LaurentPoly, ...]], ...]:
-        """(j, column j) for every column j that is not the identity's.
+    def __mul__(self, word: ArtinWord | BandWord) -> BurauMatrix:
+        """This matrix times a word's matrix, one letter at a time.
 
-        The identity's rows are its columns.  Tuple comparison settles its
-        shared entries by identity, and any other entry by value.
+        Each column a letter moves, read from ``_letter_columns``, becomes
+        every row's dot product with it; the others are copied.  The shape
+        stays, so the product is built without validation.
         """
-        unit = BurauMatrix.identity(self.n).entries
-        return tuple(
-            (j, col) for j, col in enumerate(zip(*self.entries)) if col != unit[j]
-        )
-
-    def __mul__(self, other: BurauMatrix) -> BurauMatrix:
-        """The product, computing only other's columns that are not the identity's.
-
-        Where other's column j is the identity's, column j of the product
-        is self's column j, copied; a letter matrix moves one column.  Two
-        matrices of the same n make a product of the right shape, so it is
-        not validated again.
-        """
-        if not isinstance(other, BurauMatrix):
+        if not isinstance(word, (ArtinWord, BandWord)):
             return NotImplemented
-        if other.n != self.n:
-            raise ValueError(
-                f"cannot multiply matrices for {self.n} and {other.n} strands"
+        if word.n != self.n:
+            raise StrandMismatch(
+                f"cannot multiply a matrix for {self.n} strands by a word on {word.n}"
             )
-        moved = other._moved_columns
-        rows = []
-        for row in self.entries:
-            out = list(row)
-            for j, col in moved:
-                out[j] = LaurentPoly.dot(row, col)
-            rows.append(tuple(out))
-        return BurauMatrix._unchecked(self.n, tuple(rows))
+        rows = self.entries
+        for letter in word.letters:
+            moved = _letter_columns(self.n, letter)
+            product = []
+            for row in rows:
+                out = list(row)
+                for j, col in moved:
+                    out[j] = LaurentPoly.dot(row, col)
+                product.append(tuple(out))
+            rows = product
+        m = object.__new__(BurauMatrix)
+        m.__dict__.update(n=self.n, entries=tuple(rows))
+        return m
 
     def det(self) -> LaurentPoly:
         """Fraction-free Bareiss elimination, O(size^3) ring operations.
@@ -177,23 +161,25 @@ _LETTER_U = {
 }
 
 #: p rebuilt from its terms, with its exact bound: sigma_i's -s^2, summed as
-#: 1 + (-1 - s^2), would carry 3.  Letters' diagonals take five values.
+#: 1 + (-1 - s^2), would carry 3.  Letters' diagonals take six values.
 _exact = lru_cache(maxsize=8)(lambda p: LaurentPoly(dict(p.items())))
 
-#: Entries kept by the one letter-matrix cache.  A round of 20 band words on
-#: 4 to 7 strands meets all 104 band letters of those strand counts.
+#: Entries kept by the one letter cache.  A round of 20 band words on 4 to
+#: 7 strands meets all 104 band letters of those strand counts.
 _LETTER_MEMO_SIZE = 256
 
 
 @lru_cache(maxsize=_LETTER_MEMO_SIZE)
-def _letter_matrix(n: int, letter: tuple[int, ...]) -> BurauMatrix:
-    """The matrix of one checked Artin letter (i, s) or band letter (i, j, s).
+def _letter_columns(
+    n: int, letter: tuple[int, ...]
+) -> tuple[tuple[int, tuple[LaurentPoly, ...]], ...]:
+    """(c, column c) for each column c (from 0) that a checked letter moves.
 
-    Artin's (i, s) is a_(i,i+1)^s.  a_ij^s is I + u v^T, u's entries read
-    from ``_LETTER_U``: rows outside 1..n-1 are dropped, and rows i and
-    j - 1 add when they meet.  (I + a v^T)(I + b v^T) is
-    I + (a + b + (v.b) a) v^T, so the two signs' u are checked to be
-    inverse as vectors: a + b + (v.b) a = 0.
+    Artin's (i, s) is a_(i,i+1)^s.  a_ij^s is I + u v^T, v being 1 on
+    columns i..j-1, u's entries read from ``_LETTER_U``: rows outside
+    1..n-1 are dropped, and rows i and j - 1 add when they meet.
+    (I + a v^T)(I + b v^T) is I + (a + b + (v.b) a) v^T, so the two signs'
+    u are checked to be inverse as vectors: a + b + (v.b) a = 0.
     """
     i, sign = letter[0], letter[-1]
     j = letter[1] if len(letter) == 3 else i + 1
@@ -207,27 +193,24 @@ def _letter_matrix(n: int, letter: tuple[int, ...]) -> BurauMatrix:
         raise InternalInconsistency(
             f"inverse of letter {i}:{j} on {n} strands failed its identity check"
         )
-    rows = list(BurauMatrix.identity(n).entries)
-    for r, x in (a if sign == 1 else b).items():
-        row = rows[r]
-        moved = tuple(_exact(e + x) if e else x for e in row[i - 1 : j - 1])
-        rows[r] = row[: i - 1] + moved + row[j - 1 :]
-    return BurauMatrix._unchecked(n, tuple(rows))
+    u = a if sign == 1 else b
+    column = [u.get(r, _ZERO) for r in range(n - 1)]
+    return tuple(
+        (c, (*column[:c], _exact(_ONE + column[c]), *column[c + 1 :]))
+        for c in range(i - 1, j - 1)
+    )
 
 
 def burau_generator(i: int, n: int, sign: int = 1) -> BurauMatrix:
     """The reduced Burau matrix of sigma_i^sign on n strands: the identity but
     for column i, which holds s^2, -s^2, 1 (sign +1) or 1, -s^-2, s^-2 (sign
     -1) at rows i - 1, i and i + 1 where they exist.  ArtinWord checks it."""
-    return _letter_matrix(n, ArtinWord(n, ((i, sign),)).letters[0])
+    return BurauMatrix.identity(n) * ArtinWord(n, ((i, sign),))
 
 
 def burau_rep(word: ArtinWord | BandWord) -> BurauMatrix:
-    """The matrix of a word: the product of its letters' cached matrices."""
-    m = BurauMatrix.identity(word.n)
-    for letter in word.letters:
-        m = m * _letter_matrix(word.n, letter)
-    return m
+    """The matrix of a word: the identity times the word."""
+    return BurauMatrix.identity(word.n) * word
 
 
 def conway_from_matrix(m: BurauMatrix, exponent_sum: int) -> ZPoly:

@@ -15,6 +15,7 @@ from itertools import product
 from .braid import ArtinWord, half_twist, parse_artin, parse_band
 from .burau import BurauMatrix, burau_rep, conway_via_burau
 from .polyring import (
+    Z,
     Z_IN_S,
     LaurentPoly,
     ZPoly,
@@ -113,9 +114,11 @@ def check_balanced_exponent_powers(rng: random.Random) -> None:
     twist = half_twist(3)
     for r in range(1, 5):
         target = -3 * r
-        # At exponent sum -3r the shift is the closed form of the ascending
-        # cycle (G12 G23 G13)^r, which vanishes for even r.
-        want = leaf_conway(LeafKind.TRIPLE_POWER, r)
+        # At exponent sum -3r, pairing i with r - 1 - i and the reflection
+        # F_{-m} = (-1)^(m+1) F_m collapse the shift to
+        # 2z * sum_{i<r} F_{6i+4-3r} for odd r and 0 for even r.
+        terms = [fibonacci_poly(6 * i + 4 - 3 * r) for i in range(r)] if r % 2 else []
+        want = 2 * Z * sum(terms, ZPoly())
         for _ in range(50):
             alpha = _random_artin_word(rng, 3, 8)
             pad = target - alpha.exponent_sum()

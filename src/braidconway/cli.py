@@ -129,7 +129,7 @@ def _scan_subtree(
     found: dict[int, list[tuple[int, ...]]] = {
         length: [] for length in range(len(prefixes[0]), max_len + 1)
     }
-    letter_matrices = [burau_rep(to_band_word((letter,))) for letter in LETTERS]
+    letter_words = [to_band_word((letter,)) for letter in LETTERS]
     # A letter's matrix has determinant -s^2, so a matrix fixes its length.
     braids: dict[BurauMatrix, list] = {}
 
@@ -163,8 +163,8 @@ def _scan_subtree(
                 here[word] = value
                 if children is None:
                     braid[2] = [
-                        braid_record(word + letter, matrix * letter_matrix)
-                        for letter, letter_matrix in zip(_LETTER_BYTES, letter_matrices)
+                        braid_record(word + letter, matrix * letter_word)
+                        for letter, letter_word in zip(_LETTER_BYTES, letter_words)
                     ]
         if not last:
             two_below, one_below = one_below, here

@@ -324,11 +324,13 @@ def _unpack(x: int, w: int) -> list[int]:
 
     Adding the top bit of every digit makes each digit nonnegative, so
     the sum's bytes are the digits plus 2^(w-1); flipping those top bits
-    back leaves each digit's two's-complement bytes.
+    back leaves each digit's two's-complement bytes.  Any int has such
+    digits: one bit above its length leaves room for 2^127 - 1, whose
+    digits at w = 64 are -1, -2^63, 1.
     """
     if not x:
         return []
-    n = x.bit_length() // w + 1
+    n = (x.bit_length() + 1) // w + 1
     h = _offset(n, w)
     raw = ((x + h) ^ h).to_bytes(n * w >> 3, "little")
     if w == 64:

@@ -301,11 +301,8 @@ def _braid_step(key: bytes) -> tuple[bytes, bytes]:
     erased one delta^(p - 1) ((x + 1) % 3) u', which is delta^p u'[1:]
     when u' starts with x.  delta^p alone, p >= 2, spells its last two
     deltas (2 1)(1 0): erased delta^(p - 2) 2 0, reduced delta^(p - 1) 0.
-    With p = 0 the leftmost interior square of u is split as a word's;
-    the reduced child keeps u's pairs, and the erased one gains only the
-    pair that joins the square's two sides, so it is normalized only when
-    that pair descends.  A u without an interior square takes the word's
-    own step, and both children are normalized.
+    With p = 0, u takes the word's own step and both children are
+    normalized; a child with no descending pair is its own form.
     """
     u = key.lstrip(_DELTA)
     p = len(key) - len(u)
@@ -316,15 +313,8 @@ def _braid_step(key: bytes) -> tuple[bytes, bytes]:
         if u[1:2] == u[:1]:
             return key[:p] + u[2:], reduced
         return key[1:p] + _SUCCESSOR[u[0]] + u[1:], reduced
-    found = _SQUARE.search(u)
-    if found is None:
-        erased, reduced = _resolution_step(u)
-        return _normal_form(erased), _normal_form(reduced)
-    pos = found.start()
-    erased = u[:pos] + u[pos + 2 :]
-    if 0 < pos < len(u) - 2 and u[pos - 1] == (u[pos + 2] + 1) % 3:
-        erased = _normal_form(erased)
-    return erased, u[: pos + 1] + u[pos + 2 :]
+    erased, reduced = _resolution_step(u)
+    return _normal_form(erased), _normal_form(reduced)
 
 
 def _fold(w: bytes, memo: dict, make, step):

@@ -58,6 +58,24 @@ def test_parse_band_rejects_bad_tokens():
         parse_band("1:7", 6)
 
 
+@pytest.mark.parametrize(
+    "token",
+    [
+        "1_0",  # an underscore, which int() reads as 10
+        "+1",  # a plus sign
+        "\uff11",  # FULLWIDTH DIGIT ONE
+        "\u0661",  # ARABIC-INDIC DIGIT ONE
+    ],
+)
+def test_parsers_read_ascii_digits_only(token):
+    with pytest.raises(ParseError, match="bad Artin letter"):
+        parse_artin(f"1 {token}", 12)
+    with pytest.raises(ParseError, match="bad band letter"):
+        parse_band(f"{token}:11", 12)
+    with pytest.raises(ParseError, match="bad band letter"):
+        parse_band(f"-1:{token}", 12)
+
+
 def test_artin_word_validates_letters():
     with pytest.raises(IndexOutOfRange):
         ArtinWord(3, ((3, 1),))

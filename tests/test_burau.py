@@ -80,10 +80,12 @@ def test_generator_index_validation():
 def test_inverses_multiply_to_identity():
     for n in range(2, 10):
         for i in range(1, n):
-            fwd = burau_generator(i, n)
-            inv = burau_generator(i, n, -1)
-            assert fwd * inv == BurauMatrix.identity(n)
-            assert inv * fwd == BurauMatrix.identity(n)
+            for sign in (1, -1):
+                inverse = ArtinWord(n, ((i, -sign),))
+                assert burau_generator(i, n, sign) * inverse == BurauMatrix.identity(n)
+                assert burau_rep(ArtinWord(n, ((i, sign),)) * inverse) == (
+                    BurauMatrix.identity(n)
+                )
 
 
 def test_generator_identity_check_catches_a_wrong_inverse(monkeypatch):
@@ -93,7 +95,7 @@ def test_generator_identity_check_catches_a_wrong_inverse(monkeypatch):
     broken = dict(burau._LETTER_U)
     broken[-1] = (ONE, LaurentPoly({-2: -1}), -ONE, LaurentPoly({-2: -1}))
     monkeypatch.setattr(burau, "_LETTER_U", broken)
-    burau._letter_matrix.cache_clear()
+    burau._letter_columns.cache_clear()
     with pytest.raises(InternalInconsistency):
         burau_generator(1, 3)
     with pytest.raises(InternalInconsistency):
@@ -104,7 +106,7 @@ def test_generator_identity_check_catches_a_wrong_inverse(monkeypatch):
 
 
 def test_letter_caches_are_bounded():
-    assert burau._letter_matrix.cache_info().maxsize is not None
+    assert burau._letter_columns.cache_info().maxsize is not None
 
 
 def _column_generator(i, n, sign):
@@ -135,28 +137,29 @@ def _every_letter(max_n):
                     yield n, (i, j, sign), i, j
 
 
+def _one_letter_word(n, letter):
+    return (ArtinWord if len(letter) == 2 else BandWord)(n, (letter,))
+
+
+def _as_artin(word):
+    return word.to_artin() if isinstance(word, BandWord) else word
+
+
 def test_letters_equal_the_product_of_their_artin_expansion():
     # The closed form against products of generators built entry by entry,
     # multiplied entry by entry.
     for n, letter, i, j in _every_letter(9):
-        if len(letter) == 2:
-            artin = ArtinWord(n, (letter,))
-        else:
-            artin = BandWord(n, (letter,)).to_artin()
-        expected = BurauMatrix.identity(n)
-        for k, s in artin.letters:
-            expected = _dense_product(expected, _column_generator(k, n, s))
-        got = burau._letter_matrix(n, letter)
-        assert got == expected
-        inverse = burau._letter_matrix(n, letter[:-1] + (-letter[-1],))
-        assert _dense_product(got, inverse) == BurauMatrix.identity(n)
+        word = _one_letter_word(n, letter)
+        got = burau_rep(word)
+        assert got == _dense_rep(_as_artin(word))
+        assert _dense_product(got, burau_rep(word.inverse())) == BurauMatrix.identity(n)
 
 
 def test_a_letter_is_the_identity_plus_a_rank_one_term():
     # B - I = u v^T, v being the ones on columns i..j-1: every row of B - I
     # is its entry at column i times v, and some row is not zero.
     for n, letter, i, j in _every_letter(9):
-        m = burau._letter_matrix(n, letter)
+        m = burau_rep(_one_letter_word(n, letter))
         moved = [
             [entry - (ONE if r == c else ZERO) for c, entry in enumerate(row)]
             for r, row in enumerate(m.entries)
@@ -170,9 +173,12 @@ def test_a_letter_is_the_identity_plus_a_rank_one_term():
 def test_a_letters_entries_carry_exact_coefficient_bounds():
     # Each entry's bound is the sum of its absolute coefficients, so that
     # products of letters stay at the narrow width as long as they can:
-    # sigma_i's -s^2 is not built as 1 + (-1 - s^2) with bound 3.
+    # sigma_i's -s^2 is not built as 1 + (-1 - s^2) with bound 3.  The
+    # columns are built afresh, past the cache, and the letter's matrix
+    # keeps their bounds.
     for n, letter, _, _ in _every_letter(9):
-        for row in burau._letter_matrix.__wrapped__(n, letter).entries:
+        columns = [col for _, col in burau._letter_columns.__wrapped__(n, letter)]
+        for row in columns + list(burau_rep(_one_letter_word(n, letter)).entries):
             for entry in row:
                 assert entry._b == sum(abs(c) for _, c in entry.items()), (n, letter)
 
@@ -193,17 +199,19 @@ def _dense_product(a, b):
 
 
 def _dense_rep(word):
+    """An Artin word's matrix from generators built entry by entry, multiplied
+    entry by entry."""
     m = BurauMatrix.identity(word.n)
     for i, s in word.letters:
-        m = _dense_product(m, burau_generator(i, word.n, s))
+        m = _dense_product(m, _column_generator(i, word.n, s))
     return m
 
 
 def test_products_equal_dense_products():
-    # The right factors run from the identity through single letters,
-    # which move one column, to words that move them all.  Band letters
-    # such as 1:4 also have columns that keep the identity's 1 on the
-    # diagonal but not its zeros around it.
+    # The words run from the empty word through single letters, which
+    # move one column, to words that move them all.  Band letters such as
+    # 1:4 also have columns that keep the identity's 1 on the diagonal but
+    # not its zeros around it.
     rng = random.Random(5147)
     for _ in range(80):
         n = rng.randint(2, 6)
@@ -212,9 +220,10 @@ def test_products_equal_dense_products():
         for _ in range(rng.randint(0, 2)):
             i = rng.randint(1, n - 1)
             band.append((i, rng.randint(i + 1, n), rng.choice((1, -1))))
-        for word in (_random_word(rng, n, 3), BandWord(n, tuple(band)).to_artin()):
-            right = _dense_rep(word)
-            assert left * right == _dense_product(left, right)
+        band = BandWord(n, tuple(band))
+        for word in (_random_word(rng, n, 3), band, band.to_artin()):
+            right = _dense_rep(_as_artin(word))
+            assert left * word == _dense_product(left, right)
             assert burau_rep(word) == right
 
 
@@ -225,7 +234,7 @@ def test_identity_equals_one_built_entry_by_entry():
             for r in range(n - 1)
         )
         assert BurauMatrix.identity(n) == BurauMatrix(n, built)
-        assert BurauMatrix.identity(n)._moved_columns == ()
+        assert BurauMatrix.identity(n) * ArtinWord(n) == BurauMatrix(n, built)
 
 
 def _moved_columns_by_entry(m):
@@ -238,45 +247,18 @@ def _moved_columns_by_entry(m):
     )
 
 
-def test_moved_columns_match_an_entry_by_entry_reference():
-    # Every generator and band letter on up to 7 strands, each also with
-    # every entry a fresh object, so that no comparison is settled by
-    # identity.
-    letters = []
-    for n in range(2, 8):
-        for sign in (1, -1):
-            letters += [burau_generator(i, n, sign) for i in range(1, n)]
-            letters += [
-                burau._letter_matrix(n, (i, j, sign))
-                for i in range(1, n)
-                for j in range(i + 1, n + 1)
-            ]
-    assert len(letters) == 2 * (21 + 56)
-    for m in letters:
-        fresh = BurauMatrix(
-            m.n, tuple(tuple(LaurentPoly(dict(e.items())) for e in row) for row in m.entries)
-        )
-        expected = _moved_columns_by_entry(m)
+def test_letter_columns_match_an_entry_by_entry_reference():
+    # Every generator and band letter on up to 7 strands against the
+    # columns of its matrix built entry by entry that are not the
+    # identity's.
+    count = 0
+    for n, letter, _, _ in _every_letter(7):
+        reference = _dense_rep(_as_artin(_one_letter_word(n, letter)))
+        expected = _moved_columns_by_entry(reference)
         assert expected
-        assert m._moved_columns == expected
-        assert fresh._moved_columns == expected
-
-
-def test_moved_columns_make_no_truth_test(monkeypatch):
-    # Built afresh, past the cache, so that its moved columns are not known.
-    m = burau._letter_matrix.__wrapped__(300, (150, 1))
-    calls = 0
-    truth = LaurentPoly.__bool__
-
-    def counted_bool(self):
-        nonlocal calls
-        calls += 1
-        return truth(self)
-
-    monkeypatch.setattr(LaurentPoly, "__bool__", counted_bool)
-    moved = m._moved_columns
-    assert [j for j, _ in moved] == [149]
-    assert calls == 0
+        assert burau._letter_columns(n, letter) == expected
+        count += 1
+    assert count == 2 * (21 + 56)
 
 
 def test_the_public_constructor_still_checks_the_shape():
@@ -285,39 +267,46 @@ def test_the_public_constructor_still_checks_the_shape():
             BurauMatrix(3, entries)
     with pytest.raises(ValueError):
         BurauMatrix(1, ())
-    with pytest.raises(ValueError, match="cannot multiply matrices for 3 and 4"):
-        BurauMatrix.identity(3) * BurauMatrix.identity(4)
+    with pytest.raises(ValueError, match="for 3 strands by a word on 4"):
+        BurauMatrix.identity(3) * ArtinWord(4)
+    with pytest.raises(ValueError, match="for 3 strands by a word on 4"):
+        BurauMatrix.identity(3) * BandWord(4, ((1, 4, 1),))
+
+
+def test_a_matrix_is_multiplied_by_words_only():
+    m = burau_rep(parse_artin("1 -2", 3))
+    for other in (m, BurauMatrix.identity(3), 2, ((1, 1),), b"\x00"):
+        with pytest.raises(TypeError):
+            m * other
 
 
 def test_products_behave_like_validated_matrices():
-    # A product skips the shape check; it still equals, hashes like and
-    # moves the same columns as the matrix built entry by entry through
-    # the public constructor.
+    # A product skips the shape check; it still equals and hashes like
+    # the matrix built entry by entry through the public constructor.
     rng = random.Random(3307)
     for _ in range(40):
         n = rng.randint(2, 6)
         left = burau_rep(_random_word(rng, n, 5))
-        right = burau_rep(_random_word(rng, n, 3))
-        product = left * right
-        reference = _dense_product(left, right)
+        word = _random_word(rng, n, 3)
+        product = left * word
+        reference = _dense_product(left, _dense_rep(word))
         assert (product.n, product.size) == (reference.n, reference.size)
         assert product == reference
         assert hash(product) == hash(reference)
         assert {reference: "m"}[product] == "m"
-        assert product._moved_columns == reference._moved_columns
 
 
 def test_braid_relations():
     for n in range(3, 7):
         for i in range(1, n - 1):
-            a = burau_generator(i, n)
-            b = burau_generator(i + 1, n)
-            assert a * b * a == b * a * b
+            a = ArtinWord(n, ((i, 1),))
+            b = ArtinWord(n, ((i + 1, 1),))
+            assert burau_rep(a * b * a) == burau_rep(b * a * b)
         for i in range(1, n):
             for j in range(i + 2, n):
-                a = burau_generator(i, n)
-                b = burau_generator(j, n)
-                assert a * b == b * a
+                a = ArtinWord(n, ((i, 1),))
+                b = ArtinWord(n, ((j, 1),))
+                assert burau_rep(a * b) == burau_rep(b * a)
 
 
 def _leibniz_det(rows):
@@ -542,6 +531,32 @@ def _mixed_artin_words(draw, n=None):
     return ArtinWord(n, tuple(letters))
 
 
+@st.composite
+def _mixed_words(draw, n, band):
+    """A mixed-sign band word on n strands, or an Artin word if not band."""
+    if not band:
+        return draw(_mixed_artin_words(n))
+    sign = st.sampled_from((1, -1))
+    letter = st.integers(1, n - 1).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(i + 1, n), sign)
+    )
+    return BandWord(n, tuple(draw(st.lists(letter, max_size=6))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_matrix_acts_on_words(data):
+    # (M u) v = M (u v), and the identity times a word is its matrix
+    # multiplied entry by entry.
+    n = data.draw(st.integers(2, 7))
+    m = burau_rep(data.draw(_mixed_words(n, data.draw(st.booleans()))))
+    band = data.draw(st.booleans())
+    u, v = data.draw(_mixed_words(n, band)), data.draw(_mixed_words(n, band))
+    assert (m * u) * v == m * (u * v)
+    for word in (u, v, u * v):
+        assert BurauMatrix.identity(n) * word == _dense_rep(_as_artin(word))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_mixed_artin_words(), st.integers(0, 9))
 def test_conway_is_invariant_under_rotation(word, k):
@@ -594,7 +609,7 @@ def _positive_three_braids(max_len):
     The band words are walked length by length and deduplicated on the
     matrix, which is faithful on three strands.
     """
-    letters = [burau_rep(BandWord(3, ((i, j, 1),))) for i, j in ((1, 2), (2, 3), (1, 3))]
+    letters = [BandWord(3, ((i, j, 1),)) for i, j in ((1, 2), (2, 3), (1, 3))]
     level = {BurauMatrix.identity(3)}
     for length in range(max_len + 1):
         yield from ((m, length) for m in level)

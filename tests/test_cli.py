@@ -56,6 +56,17 @@ def test_conway_rejects_index_out_of_range(capsys):
 
 
 @pytest.mark.parametrize(
+    "alphabet, word",
+    [("--artin", "\uff11 \u0661"), ("--band", "1_0:11"), ("--artin", "+1")],
+)
+def test_conway_reads_ascii_digits_only_and_exits_2(capsys, alphabet, word):
+    # int() would read these as 1 1, 10:11 and 1.
+    code, out, err = run(capsys, "conway", f"{alphabet}={word}", "-n", "12")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "alphabet, word, strands, named",
     [
         ("--artin", "1 3", "3", "generator index 3 "),
@@ -488,9 +499,10 @@ def test_scan_takes_each_words_own_resolution_step(monkeypatch):
 
 
 def test_scan_takes_one_product_per_braid_and_letter(monkeypatch):
-    # Each walk builds the three letter matrices, one product each, and
-    # extends each braid of length < L once by each letter:
-    # 3 + 3 * sum_{k < L} (2^(k+1) - 1) = 3 + 3 * (2^(L+1) - L - 2)
+    # Each walk takes one product for its prefix, the identity times the
+    # empty word, and extends each braid of length < L once by each
+    # letter's one-letter word:
+    # 1 + 3 * sum_{k < L} (2^(k+1) - 1) = 1 + 3 * (2^(L+1) - L - 2)
     # products.  The same count on a second walk shows that no memo
     # outlives its walk.
     from braidconway import cli
@@ -504,7 +516,7 @@ def test_scan_takes_one_product_per_braid_and_letter(monkeypatch):
         calls += 1
         return mul(self, other)
 
-    # The process-wide letter-matrix cache builds each matrix in closed
+    # The process-wide letter cache builds each letter's columns in closed
     # form, with no product, so the count below is the walk's alone,
     # whether or not the cache is cold.
     monkeypatch.setattr(BurauMatrix, "__mul__", counted_mul)
@@ -512,8 +524,8 @@ def test_scan_takes_one_product_per_braid_and_letter(monkeypatch):
         for _ in range(2):
             calls = 0
             cli._scan_subtree(((),), max_len)
-            assert calls == 3 + 3 * (2 ** (max_len + 1) - max_len - 2)
-    assert calls == 1509
+            assert calls == 1 + 3 * (2 ** (max_len + 1) - max_len - 2)
+    assert calls == 1507
 
 
 def _scan_failure(capsys, tmp_path):
