@@ -12,7 +12,6 @@ exactly as written; no free reduction or normal form is ever applied.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 import re
 from typing import TypeVar
@@ -46,21 +45,70 @@ class StrandMismatch(ValueError):
     """Operands live in braid groups with different strand counts."""
 
 
+#: Sets a field of a Frozen instance, which refuses plain assignment.
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value types: a frozen dataclass's methods, without
+    the start-up cost of importing dataclasses.
+
+    Each class names its own fields in ``__slots__``, after those of its
+    bases, and sets them in ``__init__`` through ``_set``.  Two
+    instances are equal when their classes and fields are; the hash is
+    that of the field tuple; copy and pickle rebuild through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._names = tuple(
+            name for base in reversed(cls.__mro__) for name in vars(base).get("__slots__", ())
+        )
+        # Compiled, as a dataclass's methods are: equality and hashing by
+        # an attrgetter took about 1.5x as long.
+        scope: dict = {}
+        exec(f"def _fields(self): return ({''.join(f'self.{k}, ' for k in cls._names)})", scope)
+        cls._fields = scope["_fields"]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = zip(self._names, self._fields())
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
 _W = TypeVar("_W", bound="_Word")
 
 
-@dataclasses.dataclass(frozen=True)
-class _Word:
+class _Word(Frozen):
     """Letters on n strands; the last entry of every letter is its sign."""
 
+    __slots__ = ("n", "letters")
     n: int
-    letters: tuple[tuple[int, ...], ...] = ()
+    letters: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, letters: tuple[tuple[int, ...], ...] = ()) -> None:
         # The one read of n and of every letter entry: each must be an int.
-        letters = tuple(tuple(map(operator.index, x)) for x in self.letters)
-        object.__setattr__(self, "n", operator.index(self.n))
-        object.__setattr__(self, "letters", letters)
+        letters = tuple(tuple(map(operator.index, x)) for x in letters)
+        _set(self, "n", operator.index(n))
+        _set(self, "letters", letters)
         if self.n < 2:
             raise IndexOutOfRange(f"need at least 2 strands, got {self.n}")
         self._check_letters()
@@ -99,12 +147,13 @@ class _Word:
         return type(self)(self.n, self.letters + other.letters)
 
 
-@dataclasses.dataclass(frozen=True)
 class ArtinWord(_Word):
     """A word in the Artin generators of the n-strand braid group.
 
     Letters are (index, sign) pairs.
     """
+
+    __slots__ = ()
 
     def _check_letters(self) -> None:
         for i, s in self.letters:
@@ -123,12 +172,13 @@ class ArtinWord(_Word):
         return " ".join(str(i * s) for i, s in self.letters)
 
 
-@dataclasses.dataclass(frozen=True)
 class BandWord(_Word):
     """A word in the band generators of the n-strand braid group.
 
     Letters are (i, j, sign) triples with i < j.
     """
+
+    __slots__ = ()
 
     def _check_letters(self) -> None:
         for i, j, s in self.letters:

@@ -25,11 +25,10 @@ fixed-size memo of it; a failed normalization raises and is not cached.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 from functools import lru_cache
 
-from .braid import ArtinWord, BandWord, IndexOutOfRange, StrandMismatch
+from .braid import ArtinWord, BandWord, Frozen, IndexOutOfRange, StrandMismatch, _set
 from .polyring import (
     LaurentPoly,
     NotDivisible,
@@ -57,23 +56,25 @@ class InternalInconsistency(RuntimeError):
     """A step that must succeed on braid input failed; the code is at fault."""
 
 
-@dataclasses.dataclass(frozen=True)
-class BurauMatrix:
+class BurauMatrix(Frozen):
     """A square matrix over the Laurent ring, tagged with its strand count.
 
     The size is n - 1, so the 2-strand group gets 1x1 matrices.  Its one
     product is by a word on the same n, ``matrix * word``.
     """
 
+    __slots__ = ("n", "entries")
     n: int
     entries: tuple[tuple[LaurentPoly, ...], ...]
 
-    def __post_init__(self) -> None:
-        size = self.n - 1
+    def __init__(self, n: int, entries: tuple[tuple[LaurentPoly, ...], ...]) -> None:
+        size = n - 1
         if size < 1:
-            raise ValueError(f"need at least 2 strands, got {self.n}")
-        if len(self.entries) != size or any(len(row) != size for row in self.entries):
+            raise ValueError(f"need at least 2 strands, got {n}")
+        if len(entries) != size or any(len(row) != size for row in entries):
             raise ValueError(f"entries must form a {size}x{size} matrix")
+        _set(self, "n", n)
+        _set(self, "entries", entries)
 
     @property
     def size(self) -> int:
@@ -112,7 +113,8 @@ class BurauMatrix:
                 product.append(tuple(out))
             rows = product
         m = object.__new__(BurauMatrix)
-        m.__dict__.update(n=self.n, entries=tuple(rows))
+        _set(m, "n", self.n)
+        _set(m, "entries", tuple(rows))
         return m
 
     def det(self) -> LaurentPoly:

@@ -57,14 +57,13 @@ the two levels below, or folded on a miss; ``scan`` checks every word so.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import re
 from collections.abc import Iterable
 from functools import lru_cache
 from operator import add
 
-from .braid import BandWord, ParseError
+from .braid import BandWord, Frozen, ParseError, _set
 from .polyring import Z, ZPoly, fibonacci_poly
 
 __all__ = [
@@ -355,8 +354,7 @@ def _fold(w: bytes, memo: dict, make, step):
         key, erased, reduced = stack.pop()
 
 
-@dataclasses.dataclass(frozen=True)
-class Node:
+class Node(Frozen):
     """A resolution-tree node.
 
     Leaves carry their LeafKind; inner nodes carry two children, the left
@@ -367,12 +365,29 @@ class Node:
     polynomial of the word's closure.
     """
 
+    __slots__ = ("word", "value", "leaf", "left", "right", "size")
     word: Word
     value: ZPoly
-    leaf: LeafKind | None = None
-    left: "Node | None" = None
-    right: "Node | None" = None
-    size: int = 1
+    leaf: LeafKind | None
+    left: Node | None
+    right: Node | None
+    size: int
+
+    def __init__(
+        self,
+        word: Word,
+        value: ZPoly,
+        leaf: LeafKind | None = None,
+        left: Node | None = None,
+        right: Node | None = None,
+        size: int = 1,
+    ) -> None:
+        _set(self, "word", word)
+        _set(self, "value", value)
+        _set(self, "leaf", leaf)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "size", size)
 
 
 #: The most nodes that ``resolve`` builds a tree of.

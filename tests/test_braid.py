@@ -177,3 +177,87 @@ def test_word_str_round_trips():
     assert parse_artin(str(artin), 3) == artin
     band = parse_band("1:6 -2:5", 6)
     assert parse_band(str(band), 6) == band
+
+
+# --- the value types on Frozen ---------------------------------------------------
+
+def _values():
+    """One instance of each value type, and its repr at the time these types
+    were frozen dataclasses."""
+    from braidconway.burau import BurauMatrix, burau_rep
+    from braidconway.skein3 import parse_word, resolve
+
+    return [
+        (ArtinWord(3, ((1, 1), (2, -1))), "ArtinWord(n=3, letters=((1, 1), (2, -1)))"),
+        (ArtinWord(3), "ArtinWord(n=3, letters=())"),
+        (BandWord(3, ((1, 3, 1),)), "BandWord(n=3, letters=((1, 3, 1),))"),
+        (
+            burau_rep(ArtinWord(3, ((1, 1),))),
+            "BurauMatrix(n=3, entries=((LaurentPoly('-s^2'), LaurentPoly('0')), "
+            "(LaurentPoly('1'), LaurentPoly('1'))))",
+        ),
+        (BurauMatrix.identity(2), "BurauMatrix(n=2, entries=((LaurentPoly('1'),),))"),
+        (
+            resolve(parse_word("1 2")),
+            "Node(word=b'\\x00\\x01', value=ZPoly('1'), "
+            "leaf=<LeafKind.TWO_DISTINCT: 'two-distinct'>, left=None, right=None, size=1)",
+        ),
+        (
+            resolve(parse_word("1 1")),
+            "Node(word=b'\\x00\\x00', value=ZPoly('0'), leaf=None, "
+            "left=Node(word=b'', value=ZPoly('0'), leaf=<LeafKind.EMPTY: 'empty'>, "
+            "left=None, right=None, size=1), "
+            "right=Node(word=b'\\x00', value=ZPoly('0'), "
+            "leaf=<LeafKind.SINGLE_LETTER: 'single-letter'>, left=None, right=None, size=1), "
+            "size=3)",
+        ),
+    ]
+
+
+def test_value_types_keep_the_dataclass_repr():
+    for value, text in _values():
+        assert repr(value) == text
+
+
+def test_value_types_compare_by_class_and_fields():
+    values = [value for value, _ in _values()]
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
+            assert (a == b) == (i == j)
+            assert (a != b) == (i != j)
+    twin = _values()
+    for (a, _), (b, _) in zip(_values(), twin):
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash(a._fields())
+    # Equal fields, different classes.
+    assert ArtinWord(3, ()) != BandWord(3, ())
+    assert hash(ArtinWord(3, ())) == hash(BandWord(3, ()))
+    assert len({ArtinWord(3, ()), BandWord(3, ()), ArtinWord(3)}) == 2
+    assert ArtinWord(3) != (3, ())
+
+
+def test_value_types_refuse_assignment():
+    for value, _ in _values():
+        for name in value._names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.other = 1
+        assert not hasattr(value, "__dict__")
+
+
+def test_value_types_copy_and_pickle():
+    import copy
+    import pickle
+
+    for value, text in _values():
+        for twin in (
+            copy.copy(value),
+            copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value)),
+        ):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+            assert repr(twin) == text

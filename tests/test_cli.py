@@ -618,7 +618,7 @@ def test_scan_compares_every_word_even_for_a_value_already_checked(
 )
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_scan_names_the_first_spelling_of_a_negative_braid(
-    capsys, tmp_path, monkeypatch, in_process_pool, braid, max_len, first, jobs
+    capsys, tmp_path, monkeypatch, in_process_workers, braid, max_len, first, jobs
 ):
     # Both routes give the same negative value for every spelling of the
     # braid, so the sign check stops the scan at the spelling that comes
@@ -658,7 +658,8 @@ def test_scan_names_the_first_spelling_of_a_negative_braid(
 
 
 def test_scan_violation_survives_a_pickle_round_trip():
-    # A worker's violation reaches the main process only through pickle.
+    # A violation keeps its word and detail through pickle, as a worker's
+    # keeps them through marshal.
     import pickle
 
     from braidconway.cli import ScanViolation
@@ -694,40 +695,30 @@ def test_scan_deterministic_across_jobs(capsys, tmp_path):
 
 
 @pytest.fixture
-def in_process_pool(monkeypatch):
-    """Runs the scan's pool tasks in this process on a machine of 64 CPUs,
-    and gives the list of max_workers the scan asked for."""
+def in_process_workers(monkeypatch):
+    """Runs the scan's worker tasks in this process on a machine of 64 CPUs,
+    and gives the list of worker counts the scan asked for."""
     from braidconway import cli
 
     requested = []
 
-    class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, forks nothing."""
+    def fork_map(function, tasks):
+        """Stands in for cli._fork_map: records the worker count, forks nothing."""
+        requested.append(len(tasks))
+        return list(map(function, tasks))
 
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, iterable):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_fork_map", fork_map)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     return requested
 
 
-def test_scan_clamps_jobs_to_its_tasks(capsys, tmp_path, monkeypatch, in_process_pool):
+def test_scan_clamps_jobs_to_its_tasks(capsys, tmp_path, monkeypatch, in_process_workers):
     # The depth-3 partition has 27 prefixes, one task per worker, so more
     # workers than that would only be forked to sit idle; so would more
     # workers than CPUs.
     from braidconway import cli
 
-    requested = in_process_pool
+    requested = in_process_workers
     single = tmp_path / "single.jsonl"
     wide = tmp_path / "wide.jsonl"
     assert run(capsys, "scan", "--max-len", "3", "--out", str(single))[0] == 0
@@ -748,9 +739,11 @@ def test_scan_clamps_jobs_to_its_tasks(capsys, tmp_path, monkeypatch, in_process
     assert single.read_bytes() == wide.read_bytes()
 
 
-def test_scan_on_a_one_cpu_host_forks_no_pool(capsys, tmp_path, monkeypatch, in_process_pool):
+def test_scan_on_a_one_cpu_host_forks_no_pool(
+    capsys, tmp_path, monkeypatch, in_process_workers
+):
     # One worker walks the whole trie in this process, as --jobs 1 does,
-    # rather than one pool worker beside the walk of the short words.
+    # rather than one forked worker beside the walk of the short words.
     from braidconway import cli
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
@@ -762,11 +755,11 @@ def test_scan_on_a_one_cpu_host_forks_no_pool(capsys, tmp_path, monkeypatch, in_
         )
         assert (code, err) == (0, "")
         outputs.append((out_path.read_bytes(), out))
-    assert in_process_pool == []
+    assert in_process_workers == []
     assert outputs[0] == outputs[1]
 
 
-def test_scan_bytes_are_the_same_for_every_job_count(capsys, tmp_path, in_process_pool):
+def test_scan_bytes_are_the_same_for_every_job_count(capsys, tmp_path, in_process_workers):
     # Covers --max-len below the split depth with --jobs > 1, --max-len
     # exactly at it, groups of one prefix (27 jobs) and more jobs than
     # prefixes.
@@ -782,10 +775,10 @@ def test_scan_bytes_are_the_same_for_every_job_count(capsys, tmp_path, in_proces
             assert (code, err) == (0, "")
             outputs.add((out_path.read_bytes(), out))
         assert len(outputs) == 1, max_len
-    assert in_process_pool == [2, 3, 5, 27, 27] * 3
+    assert in_process_workers == [2, 3, 5, 27, 27] * 3
 
 
-def test_parallel_scan_walks_each_group_once(monkeypatch, in_process_pool):
+def test_parallel_scan_walks_each_group_once(monkeypatch, in_process_workers):
     # At --jobs 2 the 27 depth-3 prefixes go to two tasks of 13 and 14,
     # each one walk with one matrix memo.  Braids shared between the two
     # groups are normalized once in each, so the count lies between one
@@ -795,7 +788,7 @@ def test_parallel_scan_walks_each_group_once(monkeypatch, in_process_pool):
 
     counts = _count_normalizations_and_determinants(monkeypatch)
     assert cli._scan(8, 2, io.StringIO(), io.StringIO()) == 0
-    assert in_process_pool == [2]
+    assert in_process_workers == [2]
     assert counts == {"normalize": 1259, "det": 0}
 
 
@@ -837,7 +830,7 @@ def test_scan_walk_leaves_no_reference_cycle():
 
 @pytest.mark.parametrize("change", ["drop", "repeat"])
 def test_scan_refuses_a_part_with_the_wrong_number_of_ids(
-    capsys, tmp_path, monkeypatch, in_process_pool, change
+    capsys, tmp_path, monkeypatch, in_process_workers, change
 ):
     # Records are matched to words by position, so one value too few or
     # too many in any part must stop the scan before a record is written.
@@ -866,6 +859,125 @@ def test_scan_refuses_a_part_with_the_wrong_number_of_ids(
     assert err == f"scan aborted at length 5: {got} values for 243 words\n"
 
 
+def _no_child_left():
+    # Every child this process forked has been reaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forked_scan_failure(capsys, tmp_path, monkeypatch, task):
+    """Runs scan --max-len 5 --jobs 2 in two forked workers whose task is
+    task(group, arg), group 1 or 2, and gives its stderr."""
+    from braidconway import cli
+
+    def scan_task(arg):
+        prefixes = arg[0]
+        return task(1 if prefixes[0] == (0, 0, 0) else 2, arg)
+
+    monkeypatch.setattr(cli, "_scan_task", scan_task)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    out_path = tmp_path / "scan.jsonl"
+    code, out, err = run(
+        capsys, "scan", "--max-len", "5", "--out", str(out_path), "--jobs", "2"
+    )
+    _no_child_left()
+    assert (code, out, out_path.read_text()) == (1, "", "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_forked_scan_reports_a_worker_that_raises(capsys, tmp_path, monkeypatch):
+    from braidconway import cli
+
+    scan_task = cli._scan_task
+
+    def task(group, arg):
+        if group == 2:
+            raise ZeroDivisionError("division by zero")
+        return scan_task(arg)
+
+    err = _forked_scan_failure(capsys, tmp_path, monkeypatch, task)
+    assert err == "scan aborted: worker 2 raised ZeroDivisionError: division by zero\n"
+
+
+def test_forked_scan_reports_a_worker_killed_by_a_signal(capsys, tmp_path, monkeypatch):
+    import signal
+
+    def task(group, arg):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    err = _forked_scan_failure(capsys, tmp_path, monkeypatch, task)
+    assert err == f"scan aborted: worker 1 was killed by signal {int(signal.SIGKILL)}\n"
+
+
+def test_forked_scan_reports_the_earliest_groups_violation(capsys, tmp_path, monkeypatch):
+    # The second group fails at once and the first only after a pause, so
+    # the report follows the order of the groups, not of the failures.
+    from braidconway import cli
+
+    def task(group, arg):
+        if group == 1:
+            time.sleep(0.3)
+        raise cli.ScanViolation(f"group {group}", "refused on purpose")
+
+    err = _forked_scan_failure(capsys, tmp_path, monkeypatch, task)
+    assert err == "scan aborted at word 'group 1': refused on purpose\n"
+
+
+def test_forked_workers_are_reaped_when_the_parent_is_interrupted():
+    # An exception in the parent while its workers run kills and reaps them.
+    import signal
+
+    from braidconway import cli
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.3)
+    start = time.monotonic()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            cli._fork_map(time.sleep, [60, 60])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+def test_forked_scan_matches_the_serial_one(capsys, tmp_path, monkeypatch):
+    from braidconway import cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        out_path = tmp_path / f"scan-{jobs}.jsonl"
+        code, out, err = run(
+            capsys, "scan", "--max-len", "6", "--out", str(out_path), "--jobs", jobs
+        )
+        assert (code, err) == (0, "")
+        outputs.append((out_path.read_bytes(), out))
+    _no_child_left()
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_scan_without_fork_walks_in_process(capsys, tmp_path, monkeypatch):
+    # Where os.fork is missing, --jobs N takes the one walk of --jobs 1.
+    from braidconway import cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    single = tmp_path / "single.jsonl"
+    assert run(capsys, "scan", "--max-len", "5", "--out", str(single))[0] == 0
+    monkeypatch.delattr(os, "fork")
+    wide = tmp_path / "wide.jsonl"
+    code, out, err = run(
+        capsys, "scan", "--max-len", "5", "--out", str(wide), "--jobs", "4"
+    )
+    assert (code, err) == (0, "")
+    assert wide.read_bytes() == single.read_bytes()
+
+
 def test_scan_out_into_missing_directory_exits_2(capsys, tmp_path, monkeypatch):
     # The path is opened before the sweep, so the sweep never starts.
     from braidconway import cli
@@ -879,6 +991,40 @@ def test_scan_out_into_missing_directory_exits_2(capsys, tmp_path, monkeypatch):
     )
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conway", "-n", "\uff13", "--artin", "1 2"],
+        ["conway", "-n", "+3", "--artin", "1 2"],
+        ["conway", "-n", " 3", "--artin", "1 2"],
+        ["conway", "--strands=1_0", "--artin", "1 2"],
+        ["scan", "--max-len", "\uff13"],
+        ["scan", "--max-len", "+3"],
+        ["scan", "--max-len", "3", "--jobs", "\u0662"],
+        ["scan", "--max-len", "3", "--jobs", "+2"],
+        ["verify", "--seed", "\uff11"],
+        ["verify", "--seed", "+1"],
+    ],
+)
+def test_integer_options_read_ascii_digits_only(capsys, argv):
+    # int() would read every one of these.
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid int value: " in captured.err
+
+
+@pytest.mark.parametrize("seed", ["\uff11", "+1", "1_0"])
+def test_verify_rejects_a_non_ascii_or_signed_seed_env_var(capsys, monkeypatch, seed):
+    monkeypatch.setenv("BRAIDCONWAY_SEED", seed)
+    with pytest.raises(SystemExit) as info:
+        main(["verify"])
+    assert info.value.code == 2
+    assert f"invalid int value: {seed!r}" in capsys.readouterr().err
 
 
 def test_scan_validates_flags():
